@@ -12,11 +12,13 @@
 //
 //	//paylint:returns owned    — the caller receives ownership and must
 //	                             release (core.NewPayload, ReadPayload,
-//	                             Channel.ReceiveRequest, ...)
+//	                             ChunkSource.ReadChunk — what
+//	                             Channel.ReceiveRequest hands back, ...)
 //	//paylint:transfers        — the callee takes ownership of its
 //	                             *core.Payload parameter; the caller must
 //	                             not release it afterwards
-//	                             (Channel.SendResponse)
+//	                             (ChunkSink.WriteChunk — the sink
+//	                             Channel.SendResponse opens)
 //	//paylint:borrows          — the callee uses the payload only for the
 //	                             duration of the call; the caller still
 //	                             owns it (Binding.SendRequest,

@@ -222,8 +222,7 @@ func TestEnvelopeCloneIndependence(t *testing.T) {
 // network: requests are dispatched straight into a dispatcher.
 type inProcBinding struct {
 	server   *Server[XMLEncoding, *nullServerBinding]
-	response []byte
-	ct       string
+	response *Payload
 }
 
 type nullServerBinding struct{}
@@ -233,17 +232,13 @@ func (*nullServerBinding) Addr() net.Addr           { return nil }
 func (*nullServerBinding) Close() error             { return nil }
 
 func (b *inProcBinding) SendRequest(ctx context.Context, payload *Payload, ct string) error {
-	resp := b.server.Dispatcher().Dispatch(ctx, payload.Bytes(), ct, new(obs.Span), nil)
-	data, err := b.server.Codec().EncodeBytes(resp)
-	if err != nil {
-		return err
-	}
-	b.response, b.ct = data, b.server.Codec().ContentType()
-	return nil
+	resp, err := b.server.Dispatcher().DispatchPayload(ctx, payload, ct, new(obs.Span), nil)
+	b.response = resp
+	return err
 }
 
 func (b *inProcBinding) ReceiveResponse(context.Context) (*Payload, string, error) {
-	return NewPayloadFrom(b.response), b.ct, nil
+	return b.response, b.server.Codec().ContentType(), nil
 }
 
 func (b *inProcBinding) Close() error { return nil }
@@ -333,13 +328,25 @@ func TestDispatchRejectsGarbage(t *testing.T) {
 	srv := NewServer(XMLEncoding{}, &nullServerBinding{}, func(_ context.Context, _ *Envelope) (*Envelope, error) {
 		return NewEnvelope(), nil
 	})
-	resp := srv.Dispatcher().Dispatch(context.Background(), []byte("this is not xml"), "text/xml", new(obs.Span), nil)
-	f := FaultFromEnvelope(resp)
-	if f == nil || f.Code != FaultClient {
+	dispatch := func(req, ct string) *Fault {
+		t.Helper()
+		p := NewPayloadFrom([]byte(req))
+		defer p.Release()
+		out, err := srv.Dispatcher().DispatchPayload(context.Background(), p, ct, new(obs.Span), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Release()
+		resp, err := srv.Codec().DecodePayload(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FaultFromEnvelope(resp)
+	}
+	if f := dispatch("this is not xml", "text/xml"); f == nil || f.Code != FaultClient {
 		t.Fatalf("garbage request → %v", f)
 	}
-	resp = srv.Dispatcher().Dispatch(context.Background(), []byte("<x/>"), "application/x-bxsa", new(obs.Span), nil)
-	if f := FaultFromEnvelope(resp); f == nil || f.Code != FaultClient {
+	if f := dispatch("<x/>", "application/x-bxsa"); f == nil || f.Code != FaultClient {
 		t.Fatal("content-type mismatch not faulted")
 	}
 }

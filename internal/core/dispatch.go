@@ -86,62 +86,48 @@ func (d *Dispatcher[E]) Understand(names ...bxdm.QName) {
 	d.understood.Store(&next)
 }
 
-// Dispatch decodes, enforces mustUnderstand, runs the handler, and converts
-// errors to faults. It never fails: protocol problems become fault
-// envelopes, which is what a SOAP node owes its peer. The span and hop are
-// the caller's in-progress server-side trace; Dispatch marks the decode and
-// handler stages into them and binds the wire trace context once decoded.
-func (d *Dispatcher[E]) Dispatch(ctx context.Context, payload []byte, ct string, sp *obs.Span, hop *obs.Hop) *Envelope {
-	d.obs.Inc(obs.ServerRequests)
-	entry := sp.Total() // receive is behind us; busy time starts here
-	if err := CheckContentType(d.codec.Encoding(), ct); err != nil {
-		sp.Mark(obs.ServerDecode)
-		d.obs.Inc(obs.ServerFaults)
-		d.recordServerOp(opUndecodable, sp, hop, entry, true)
-		return (&Fault{Code: FaultClient, String: err.Error()}).Envelope()
-	}
-	req, err := d.codec.DecodeEnvelope(payload)
-	sp.Mark(obs.ServerDecode)
-	if err != nil {
-		d.obs.Inc(obs.ServerFaults)
-		d.recordServerOp(opUndecodable, sp, hop, entry, true)
-		return (&Fault{Code: FaultClient, String: fmt.Sprintf("cannot decode request: %v", err)}).Envelope()
-	}
-	return d.dispatchEnvelope(ctx, req, sp, hop, entry)
-}
-
-// DispatchStream is Dispatch in chunked terms: the request arrives as a
-// chunk source and is decoded incrementally, so the handler can start as
-// soon as the tree is complete without the bytes ever being gathered. A
-// decode failure aborts the source (the transport marks its receive side
-// desynchronized) and, like every other protocol problem, becomes a fault
-// envelope — DispatchStream never fails. Encoding the response belongs to
-// the caller, which owns the response-side sink.
+// DispatchStream decodes the request off its chunk source, enforces
+// mustUnderstand, runs the handler, and converts errors to faults. It never
+// fails: protocol problems become fault envelopes, which is what a SOAP
+// node owes its peer. A request that cannot be decoded aborts the source (a
+// transport whose message was cut short marks its receive side
+// desynchronized; after a complete message Abort is a no-op). The span and
+// hop are the caller's in-progress server-side trace; DispatchStream marks
+// the decode and handler stages into them and binds the wire trace context
+// once decoded. Encoding the response belongs to the caller, which owns the
+// response-side sink.
 func (d *Dispatcher[E]) DispatchStream(ctx context.Context, src ChunkSource, ct string, sp *obs.Span, hop *obs.Hop) *Envelope {
 	d.obs.Inc(obs.ServerRequests)
-	entry := sp.Total()
-	if err := CheckContentType(d.codec.Encoding(), ct); err != nil {
+	entry := sp.Total() // receive is behind us; busy time starts here
+	var req *Envelope
+	err := CheckContentType(d.codec.Encoding(), ct)
+	if err == nil {
+		if req, err = d.codec.DecodeChunks(src); err != nil {
+			err = fmt.Errorf("cannot decode request: %v", err)
+		}
+	}
+	if err != nil {
 		src.Abort()
-		sp.Mark(obs.ServerDecode)
+	}
+	return d.dispatchDecoded(ctx, req, err, sp, hop, entry)
+}
+
+// dispatchDecoded continues either entry point once its decode has run: a
+// request that never yielded an envelope (bad content type, undecodable
+// bytes) draws a Client fault carrying err; a decoded one is dispatched.
+func (d *Dispatcher[E]) dispatchDecoded(ctx context.Context, req *Envelope, err error, sp *obs.Span, hop *obs.Hop, entry time.Duration) *Envelope {
+	sp.Mark(obs.ServerDecode)
+	if err != nil {
 		d.obs.Inc(obs.ServerFaults)
 		d.recordServerOp(opUndecodable, sp, hop, entry, true)
 		return (&Fault{Code: FaultClient, String: err.Error()}).Envelope()
-	}
-	req, err := d.codec.DecodeChunks(src)
-	sp.Mark(obs.ServerDecode)
-	if err != nil {
-		src.Abort()
-		d.obs.Inc(obs.ServerFaults)
-		d.recordServerOp(opUndecodable, sp, hop, entry, true)
-		return (&Fault{Code: FaultClient, String: fmt.Sprintf("cannot decode request: %v", err)}).Envelope()
 	}
 	return d.dispatchEnvelope(ctx, req, sp, hop, entry)
 }
 
 // dispatchEnvelope is the decode-independent half of dispatch:
 // mustUnderstand enforcement, handler invocation, and fault conversion,
-// shared by the buffered and streamed entry points so protocol behavior is
-// defined exactly once.
+// shared by both entry points so protocol behavior is defined exactly once.
 func (d *Dispatcher[E]) dispatchEnvelope(ctx context.Context, req *Envelope, sp *obs.Span, hop *obs.Hop, entry time.Duration) *Envelope {
 	// The wire trace context (when the client sent one) places this hop on
 	// the request path; an unbound hop self-roots at FinishHop.
@@ -202,17 +188,26 @@ func (d *Dispatcher[E]) recordServerOp(op string, sp *obs.Span, hop *obs.Hop, en
 	d.obs.RecordOp(op, obs.RoleServer, sp.Total()-entry, failed, hop.Context().ID)
 }
 
-// DispatchPayload runs one full server-side exchange in payload terms:
-// dispatch the request bytes, then encode the response into a pooled
-// payload the caller owns (and must either release or hand to a
-// transferring send). The request payload is borrowed — the caller keeps
+// DispatchPayload runs one full server-side exchange in payload terms, for
+// transports that schedule materialized messages themselves (muxbind DATA
+// frames): decode and dispatch the request bytes, then encode the response
+// into a pooled payload the caller owns (and must either release or hand to
+// a transferring send). The request payload is borrowed — the caller keeps
 // ownership and releases it after DispatchPayload returns.
 //
 //paylint:borrows
 //paylint:returns owned
 func (d *Dispatcher[E]) DispatchPayload(ctx context.Context, req *Payload, ct string, sp *obs.Span, hop *obs.Hop) (*Payload, error) {
-	resp := d.Dispatch(ctx, req.Bytes(), ct, sp, hop)
-	out, err := d.codec.EncodePayload(resp)
+	d.obs.Inc(obs.ServerRequests)
+	entry := sp.Total()
+	var env *Envelope
+	err := CheckContentType(d.codec.Encoding(), ct)
+	if err == nil {
+		if env, err = d.codec.DecodePayload(req); err != nil {
+			err = fmt.Errorf("cannot decode request: %v", err)
+		}
+	}
+	out, err := d.codec.EncodePayload(d.dispatchDecoded(ctx, env, err, sp, hop, entry))
 	sp.Mark(obs.ServerEncode)
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)

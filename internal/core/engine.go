@@ -81,59 +81,16 @@ func (e *Engine[E, B]) Call(ctx context.Context, req *Envelope) (*Envelope, erro
 	if e.obs.Dimensional() {
 		op = OpName(req)
 	}
-	if e.chunkBytes > 0 {
-		if sb, ok := any(e.bind).(StreamBinding); ok {
-			resp, err := e.callStreamed(ctx, req, sb, sp)
-			e.obs.FinishHop(hop, err)
-			e.recordClientOp(op, sp, hop, err)
-			return resp, err
-		}
-	}
-	p, err := e.codec.EncodePayload(req)
-	if err != nil {
-		e.obs.Inc(obs.CallsStarted)
-		e.obs.Inc(obs.CallsFailed)
-		e.obs.FinishHop(hop, err)
-		e.recordClientOp(op, sp, hop, err)
-		return nil, fmt.Errorf("soap: encode request: %w", err)
-	}
-	sp.Mark(obs.ClientEncode)
-	defer p.Release()
-	resp, err := e.callPayload(ctx, p, sp)
+	resp, err := e.call(ctx, req, &sp)
 	e.obs.FinishHop(hop, err)
-	e.recordClientOp(op, sp, hop, err)
+	e.recordClientOp(op, &sp, hop, err)
 	return resp, err
 }
 
-// recordClientOp lands one finished client exchange in the dimensional
-// series for op: the span's marked total as the latency, any error (SOAP
-// faults included — a fault burns the caller's error budget even though
-// the transport worked) as the failure flag, and the hop's trace ID as the
-// exemplar. Entry points that own the whole exchange (Call, Send) record;
-// the payload-level and retry-level entry points (CallPayload, CallStream,
-// SendPayload) do not, because their caller owns the logical call and
-// records it once across attempts — svcpool does exactly that.
-func (e *Engine[E, B]) recordClientOp(op string, sp obs.Span, hop *obs.Hop, err error) {
-	if op == "" {
-		return
-	}
-	e.obs.RecordOp(op, obs.RoleClient, sp.Total(), err != nil, hop.Context().ID)
-}
-
-// CallStream performs the request-response exchange from the envelope,
-// streaming the encode into the binding chunk by chunk. It is the retry
-// layers' streamed counterpart of CallPayload: a streamed request has no
-// materialized payload to replay, so each attempt calls this again and the
-// envelope tree is the replay source. Like CallPayload, the caller owns the
-// trace hop and threads it via obs.ContextWithHop; no new trace is rooted
-// here. When the binding cannot stream (or the engine runs buffered), the
-// exchange falls back to a per-call buffered encode.
-func (e *Engine[E, B]) CallStream(ctx context.Context, req *Envelope) (*Envelope, error) {
-	var hop *obs.Hop
-	if e.obs.Tracing() {
-		hop = obs.HopFromContext(ctx)
-	}
-	sp := e.obs.SpanWith(hop)
+// call is one attempt at the exchange from the envelope, under the caller's
+// span: streamed when the engine and its binding both stream, otherwise
+// encoded into one pooled payload and exchanged buffered.
+func (e *Engine[E, B]) call(ctx context.Context, req *Envelope, sp *obs.Span) (*Envelope, error) {
 	if e.chunkBytes > 0 {
 		if sb, ok := any(e.bind).(StreamBinding); ok {
 			return e.callStreamed(ctx, req, sb, sp)
@@ -150,6 +107,44 @@ func (e *Engine[E, B]) CallStream(ctx context.Context, req *Envelope) (*Envelope
 	return e.callPayload(ctx, p, sp)
 }
 
+// recordClientOp lands one finished client exchange in the dimensional
+// series for op: the span's marked total as the latency, any error (SOAP
+// faults included — a fault burns the caller's error budget even though
+// the transport worked) as the failure flag, and the hop's trace ID as the
+// exemplar. Entry points that own the whole exchange (Call, Send) record;
+// the payload-level and retry-level entry points (CallPayload, CallStream,
+// SendPayload) do not, because their caller owns the logical call and
+// records it once across attempts — svcpool does exactly that.
+func (e *Engine[E, B]) recordClientOp(op string, sp *obs.Span, hop *obs.Hop, err error) {
+	if op == "" {
+		return
+	}
+	e.obs.RecordOp(op, obs.RoleClient, sp.Total(), err != nil, hop.Context().ID)
+}
+
+// CallStream performs the request-response exchange from the envelope,
+// streaming the encode into the binding chunk by chunk. It is the retry
+// layers' streamed counterpart of CallPayload: a streamed request has no
+// materialized payload to replay, so each attempt calls this again and the
+// envelope tree is the replay source. Like CallPayload, the caller owns the
+// trace hop and threads it via obs.ContextWithHop; no new trace is rooted
+// here. When the binding cannot stream (or the engine runs buffered), the
+// exchange falls back to a per-call buffered encode.
+func (e *Engine[E, B]) CallStream(ctx context.Context, req *Envelope) (*Envelope, error) {
+	sp := e.obs.SpanWith(e.callerHop(ctx))
+	return e.call(ctx, req, &sp)
+}
+
+// callerHop returns the trace hop the caller of a payload- or retry-level
+// entry point threaded via obs.ContextWithHop. The ctx lookup is gated on
+// Tracing so the disabled path stays free.
+func (e *Engine[E, B]) callerHop(ctx context.Context) *obs.Hop {
+	if e.obs.Tracing() {
+		return obs.HopFromContext(ctx)
+	}
+	return nil
+}
+
 // CallPayload performs the request-response exchange with an already
 // serialized request. The engine borrows the payload — the caller keeps
 // ownership, so pooled requests can be reused across retries (svcpool
@@ -158,35 +153,45 @@ func (e *Engine[E, B]) CallStream(ctx context.Context, req *Envelope) (*Envelope
 // The caller that encoded the payload owns the trace hop (it saw the
 // envelope; the engine sees only bytes) and threads it via
 // obs.ContextWithHop; the engine's stage marks then accumulate into it.
-// The ctx lookup is gated on Tracing so the disabled path stays free.
 //
 //paylint:borrows
 func (e *Engine[E, B]) CallPayload(ctx context.Context, req *Payload) (*Envelope, error) {
-	var hop *obs.Hop
-	if e.obs.Tracing() {
-		hop = obs.HopFromContext(ctx)
-	}
-	return e.callPayload(ctx, req, e.obs.SpanWith(hop))
+	sp := e.obs.SpanWith(e.callerHop(ctx))
+	return e.callPayload(ctx, req, &sp)
 }
 
-// callPayload runs the exchange under an in-progress span (whose clock was
-// restarted after any encode mark). Stages are marked on failure paths too,
-// so a fault or transport error still leaves a complete, ordered trace.
+// roundTrip is the head every payload-level exchange shares: send the
+// serialized request, wait for the reply's payload (which the caller then
+// owns). Stages are marked on failure paths too, so a transport error still
+// leaves a complete, ordered trace; waitOp names the receive in one.
 //
 //paylint:borrows
-func (e *Engine[E, B]) callPayload(ctx context.Context, req *Payload, sp obs.Span) (*Envelope, error) {
+//paylint:returns owned
+func (e *Engine[E, B]) roundTrip(ctx context.Context, req *Payload, sp *obs.Span, waitOp string) (*Payload, string, error) {
 	e.obs.Inc(obs.CallsStarted)
 	if err := e.bind.SendRequest(ctx, req, e.codec.ContentType()); err != nil {
 		sp.Mark(obs.ClientSend)
 		e.obs.Inc(obs.CallsFailed)
-		return nil, classifyTransport("send request", err)
+		return nil, "", classifyTransport("send request", err)
 	}
 	sp.Mark(obs.ClientSend)
 	payload, ct, err := e.bind.ReceiveResponse(ctx)
 	sp.Mark(obs.ClientWait)
 	if err != nil {
 		e.obs.Inc(obs.CallsFailed)
-		return nil, classifyTransport("receive response", err)
+		return nil, "", classifyTransport(waitOp, err)
+	}
+	return payload, ct, nil
+}
+
+// callPayload runs the exchange under an in-progress span (whose clock was
+// restarted after any encode mark).
+//
+//paylint:borrows
+func (e *Engine[E, B]) callPayload(ctx context.Context, req *Payload, sp *obs.Span) (*Envelope, error) {
+	payload, ct, err := e.roundTrip(ctx, req, sp, "receive response")
+	if err != nil {
+		return nil, err
 	}
 	defer payload.Release()
 	if err := CheckContentType(e.codec.Encoding(), ct); err != nil {
@@ -219,7 +224,7 @@ func (e *Engine[E, B]) callPayload(ctx context.Context, req *Payload, sp obs.Spa
 // the interleaved encode+send (there is no separate ClientEncode mark),
 // ClientWait ends at the first response chunk's availability, and
 // ClientDecode covers the chunked decode.
-func (e *Engine[E, B]) callStreamed(ctx context.Context, req *Envelope, sb StreamBinding, sp obs.Span) (*Envelope, error) {
+func (e *Engine[E, B]) callStreamed(ctx context.Context, req *Envelope, sb StreamBinding, sp *obs.Span) (*Envelope, error) {
 	e.obs.Inc(obs.CallsStarted)
 	sink, err := sb.SendRequestStream(ctx, e.codec.ContentType())
 	if err != nil {
@@ -279,14 +284,14 @@ func (e *Engine[E, B]) Send(ctx context.Context, req *Envelope) error {
 		e.obs.Inc(obs.CallsStarted)
 		e.obs.Inc(obs.CallsFailed)
 		e.obs.FinishHop(hop, err)
-		e.recordClientOp(op, sp, hop, err)
+		e.recordClientOp(op, &sp, hop, err)
 		return fmt.Errorf("soap: encode request: %w", err)
 	}
 	sp.Mark(obs.ClientEncode)
 	defer p.Release()
-	err = e.sendPayload(ctx, p, sp)
+	err = e.sendPayload(ctx, p, &sp)
 	e.obs.FinishHop(hop, err)
-	e.recordClientOp(op, sp, hop, err)
+	e.recordClientOp(op, &sp, hop, err)
 	return err
 }
 
@@ -295,27 +300,15 @@ func (e *Engine[E, B]) Send(ctx context.Context, req *Envelope) error {
 //
 //paylint:borrows
 func (e *Engine[E, B]) SendPayload(ctx context.Context, req *Payload) error {
-	var hop *obs.Hop
-	if e.obs.Tracing() {
-		hop = obs.HopFromContext(ctx)
-	}
-	return e.sendPayload(ctx, req, e.obs.SpanWith(hop))
+	sp := e.obs.SpanWith(e.callerHop(ctx))
+	return e.sendPayload(ctx, req, &sp)
 }
 
 //paylint:borrows
-func (e *Engine[E, B]) sendPayload(ctx context.Context, req *Payload, sp obs.Span) error {
-	e.obs.Inc(obs.CallsStarted)
-	if err := e.bind.SendRequest(ctx, req, e.codec.ContentType()); err != nil {
-		sp.Mark(obs.ClientSend)
-		e.obs.Inc(obs.CallsFailed)
-		return classifyTransport("send request", err)
-	}
-	sp.Mark(obs.ClientSend)
-	payload, ct, err := e.bind.ReceiveResponse(ctx)
-	sp.Mark(obs.ClientWait)
+func (e *Engine[E, B]) sendPayload(ctx context.Context, req *Payload, sp *obs.Span) error {
+	payload, ct, err := e.roundTrip(ctx, req, sp, "transport acknowledgement")
 	if err != nil {
-		e.obs.Inc(obs.CallsFailed)
-		return classifyTransport("transport acknowledgement", err)
+		return err
 	}
 	defer payload.Release()
 	e.obs.Inc(obs.CallsCompleted)

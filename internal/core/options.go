@@ -113,15 +113,16 @@ func normChunkBytes(n int) int {
 	return n
 }
 
-// WithStreaming enables the chunked message pipeline: messages flow as a
+// WithStreaming sets the chunk window: messages this node encodes flow as a
 // sequence of pooled chunks of roughly chunkBytes each instead of one
 // materialized buffer (chunkBytes <= 0 picks DefaultChunkBytes), bounding
-// memory by the chunk window rather than message size. On an engine the
-// streamed path engages when the binding implements StreamBinding; on a
-// server a channel implementing StreamChannel answers chunked requests
-// chunked. Either side falls back to the buffered path against a peer or
-// transport without streaming support — enabling streaming never changes
-// which messages round-trip, only how they are carried (see the DESIGN.md
-// fallback matrix). Off by default. Mutually exclusive with templates on
-// the encode side: a streamed message never consults the plan cache.
+// memory by the window rather than message size. On an engine the streamed
+// path engages when the binding implements StreamBinding. On a server the
+// option only sizes the response window — every channel speaks the chunk
+// seam, so requests are decoded as their chunks arrive with or without it.
+// Either side interoperates with a peer or transport without streaming
+// support — the option never changes which messages round-trip, only how
+// they are carried (see the DESIGN.md fallback matrix). Off by default.
+// Mutually exclusive with templates on the encode side: a streamed message
+// never consults the plan cache.
 func WithStreaming(chunkBytes int) Option { return streamingOption{chunkBytes} }

@@ -20,12 +20,14 @@ import (
 // pipeline"):
 //
 //   - Whoever checks a payload out (NewPayload, EncodePayload, ReadPayload,
-//     or a receive call on a Binding/Channel) owns it and must Release it
-//     exactly once.
+//     Binding.ReceiveResponse, or ReadChunk on a source such as the one
+//     Channel.ReceiveRequest returns) owns it and must Release it exactly
+//     once.
 //   - Binding.SendRequest borrows: the caller keeps ownership, so a pooled
 //     request can be reused across retries.
-//   - Channel.SendResponse transfers: the channel releases the payload once
-//     it is written, even asynchronously, on success or failure.
+//   - ChunkSink.WriteChunk transfers: the sink (e.g. the one
+//     Channel.SendResponse opens) releases the chunk once it is written,
+//     even asynchronously, on success or failure.
 //   - Release after the final reference is a bug and panics; use Retain to
 //     share a payload across goroutines.
 type Payload struct {

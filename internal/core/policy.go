@@ -356,20 +356,20 @@ type ServerBinding interface {
 	Close() error
 }
 
-// Channel is one server-side message exchange sequence.
+// Channel is one server-side message exchange sequence. It speaks the chunk
+// seam (stream.go): a buffered exchange is the one-chunk case of each call,
+// not a second pair of methods.
 type Channel interface {
-	// ReceiveRequest blocks for the next request on this channel; it
-	// returns io.EOF when the peer is done. Ownership of the returned
-	// payload transfers to the caller.
-	//
-	//paylint:returns owned
-	ReceiveRequest(ctx context.Context) (payload *Payload, contentType string, err error)
-	// SendResponse replies to the request just received. It takes
-	// ownership of payload and releases it once written (possibly
-	// asynchronously), on success or failure.
-	//
-	//paylint:transfers
-	SendResponse(payload *Payload, contentType string) error
+	// ReceiveRequest blocks until the next request begins and returns a
+	// source for its chunks; it returns io.EOF when the peer is done. A
+	// message the peer framed whole comes back as a one-chunk source. The
+	// caller reads the source to its last chunk or aborts it.
+	ReceiveRequest(ctx context.Context) (src ChunkSource, contentType string, err error)
+	// SendResponse opens the reply to the request just received. The
+	// caller writes the message into the returned sink and finishes it with
+	// a last chunk, or aborts it. A reply whose first chunk is also its
+	// last goes out in the binding's buffered wire form.
+	SendResponse(contentType string) (ChunkSink, error)
 	// Close tears the channel down.
 	Close() error
 }

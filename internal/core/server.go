@@ -31,8 +31,8 @@ type Server[E Encoding, B ServerBinding] struct {
 	bind B
 	obs  *obs.Observer
 
-	// chunkBytes is nonzero when WithStreaming was given: channels that
-	// implement StreamChannel then carry exchanges as chunk sequences.
+	// chunkBytes is the response window handed to Codec.EncodeChunks: zero
+	// (no WithStreaming) encodes each response as one chunk.
 	chunkBytes int
 
 	// ctx is the server's lifetime context: handlers receive a context
@@ -121,14 +121,28 @@ func (s *Server[E, B]) Serve() error {
 	}
 }
 
+// serveChannel is the one channel loop: each request is decoded as its
+// chunks arrive and each response is encoded straight into the channel's
+// sink. Where the exchange is one chunk each way — the buffered exchange —
+// nothing is copied or interleaved and the stages read as they always did
+// (receive, decode, handler, encode, send); for longer messages
+// ServerReceive marks the stream opening (bytes keep arriving through
+// decode) and ServerSend covers the interleaved encode+send.
 func (s *Server[E, B]) serveChannel(ch Channel) error {
 	// Handlers run under the server's lifetime context: Close cancels it,
 	// so a long-running handler sees shutdown instead of outliving it.
 	ctx := s.ctx
-	if s.chunkBytes > 0 {
-		if sc, ok := ch.(StreamChannel); ok {
-			return s.serveChannelStreamed(ctx, sc)
-		}
+	codec := s.disp.Codec()
+	// The observed half of the loop lives in one allocation per channel,
+	// made only when an observer is configured: without one the channel's
+	// own source and sink are used as they come and the span stays on the
+	// stack, so the nil-observer path allocates nothing of its own.
+	var unobserved obs.Span
+	sp := &unobserved
+	var ob *observedExchange
+	if s.obs != nil {
+		ob = new(observedExchange)
+		sp = &ob.sp
 	}
 	for {
 		// The server hop starts before the read: the trace context arrives
@@ -136,8 +150,8 @@ func (s *Server[E, B]) serveChannel(ch Channel) error {
 		// read fails (channel closed, peer gone) is abandoned unrecorded —
 		// no request was handled.
 		hop := s.obs.StartHop(obs.RoleServer)
-		sp := s.obs.SpanWith(hop)
-		payload, ct, err := ch.ReceiveRequest(ctx)
+		*sp = s.obs.SpanWith(hop)
+		src, ct, err := ch.ReceiveRequest(ctx)
 		sp.Mark(obs.ServerReceive)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
@@ -145,59 +159,56 @@ func (s *Server[E, B]) serveChannel(ch Channel) error {
 			}
 			return err
 		}
-		out, err := s.disp.DispatchPayload(ctx, payload, ct, &sp, hop)
-		payload.Release()
-		if err != nil {
-			s.obs.FinishHop(hop, err)
-			return err
+		if ob != nil {
+			ob.rx = countingSource{src, s.obs}
+			src = &ob.rx
 		}
-		// SendResponse takes ownership of out and releases it when written.
-		if err := ch.SendResponse(out, s.disp.Codec().ContentType()); err != nil {
-			sp.Mark(obs.ServerSend)
-			s.obs.FinishHop(hop, err)
-			return fmt.Errorf("send response: %w", err)
+		out := s.disp.DispatchStream(ctx, src, ct, sp, hop)
+		sink, err := ch.SendResponse(codec.ContentType())
+		if err == nil {
+			if ob != nil {
+				ob.tx = responseSink{countingSink{sink, s.obs}, sp, false}
+				sink = &ob.tx
+			}
+			if err = codec.EncodeChunks(out, s.chunkBytes, sink); err != nil {
+				sink.Abort()
+			}
 		}
 		sp.Mark(obs.ServerSend)
-		s.obs.FinishHop(hop, nil)
+		s.obs.FinishHop(hop, err)
+		if err != nil {
+			return fmt.Errorf("send response: %w", err)
+		}
 	}
 }
 
-// serveChannelStreamed is the chunked channel loop: requests are decoded
-// as their chunks arrive and responses are encoded straight into the
-// channel's sink, so neither direction materializes a whole message. Stage
-// semantics shift with the interleaving — ServerReceive marks the stream
-// opening (bytes keep arriving through decode), and ServerSend covers the
-// interleaved encode+send (there is no separate ServerEncode mark). A
-// buffered peer's requests still flow here: the channel surfaces them as
-// one-chunk sources, and the chunked response frames carry the same bytes.
-func (s *Server[E, B]) serveChannelStreamed(ctx context.Context, sc StreamChannel) error {
-	for {
-		hop := s.obs.StartHop(obs.RoleServer)
-		sp := s.obs.SpanWith(hop)
-		src, ct, err := sc.ReceiveRequestStream(ctx)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		sp.Mark(obs.ServerReceive)
-		out := s.disp.DispatchStream(ctx, countingSource{src, s.obs}, ct, &sp, hop)
-		sink, err := sc.SendResponseStream(s.disp.Codec().ContentType())
-		if err != nil {
-			sp.Mark(obs.ServerSend)
-			s.obs.FinishHop(hop, err)
-			return fmt.Errorf("send response: %w", err)
-		}
-		if err := s.disp.Codec().EncodeChunks(out, s.chunkBytes, countingSink{sink, s.obs}); err != nil {
-			sink.Abort()
-			sp.Mark(obs.ServerSend)
-			s.obs.FinishHop(hop, err)
-			return fmt.Errorf("send response: %w", err)
-		}
-		sp.Mark(obs.ServerSend)
-		s.obs.FinishHop(hop, nil)
+// observedExchange is the per-channel state of an observed server loop: the
+// span of the exchange in progress and the counting wrappers around its
+// source and sink, reused for every exchange on the channel.
+type observedExchange struct {
+	sp obs.Span
+	rx countingSource
+	tx responseSink
+}
+
+// responseSink keeps a one-chunk response's trace what a buffered one's
+// always was: when the first chunk is also the last, the whole message was
+// encoded before any of it was sent, so ServerEncode is marked at the
+// hand-over — between encode and send. A longer response interleaves the
+// two, and ServerSend covers both.
+type responseSink struct {
+	countingSink
+	sp      *obs.Span
+	started bool
+}
+
+//paylint:transfers
+func (s *responseSink) WriteChunk(p *Payload, last bool) error {
+	if last && !s.started {
+		s.sp.Mark(obs.ServerEncode)
 	}
+	s.started = true
+	return s.countingSink.WriteChunk(p, last)
 }
 
 // Close stops the server: it cancels the handler context, closes all live

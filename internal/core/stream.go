@@ -10,12 +10,14 @@ import (
 	"bxsoap/internal/obs"
 )
 
-// This file is the chunked-streaming seam of the codec API (ROADMAP open
-// item 1, grounded in "Non-Blocking Signature of very large SOAP
-// Messages"): a message flows through the pipeline as an ordered sequence
-// of pooled Payload chunks instead of one materialized buffer, so maximum
+// This file is the chunk seam of the codec API (grounded in "Non-Blocking
+// Signature of very large SOAP Messages"): a message flows through the
+// pipeline as an ordered sequence of pooled Payload chunks, so maximum
 // message size is decoupled from memory and time-to-first-byte is decoupled
-// from total encode time.
+// from total encode time. The materialized message is the seam's one-chunk
+// case, not a second path: a sequence whose first chunk is also its last is
+// encoded, framed and decoded exactly as a buffered message always was (see
+// Codec.EncodeChunks, Codec.DecodeChunks and each binding's sink).
 //
 // Contracts at the chunk seam (see DESIGN.md "Streaming pipeline"):
 //
@@ -28,7 +30,8 @@ import (
 //   - On failure the side that noticed calls Abort exactly once instead of
 //     finishing the sequence; transports then poison the underlying stream
 //     (a half-delivered message can never be confused with a complete one).
-//   - Abort is idempotent and safe after any prefix of the sequence.
+//   - Abort is idempotent and safe after any prefix of the sequence; after
+//     the complete sequence it is a no-op (the stream position is known).
 
 // DefaultChunkBytes is the chunk window used when WithStreaming is given a
 // non-positive size: large enough that per-chunk framing overhead vanishes,
@@ -94,18 +97,6 @@ type StreamBinding interface {
 	ReceiveResponseStream(ctx context.Context) (ChunkSource, string, error)
 }
 
-// StreamChannel is the optional streaming face of a server Channel.
-type StreamChannel interface {
-	Channel
-	// ReceiveRequestStream blocks until the next request begins, returning
-	// a source for its chunks. A buffered request comes back as a one-chunk
-	// source.
-	ReceiveRequestStream(ctx context.Context) (ChunkSource, string, error)
-	// SendResponseStream opens a chunked response for the request just
-	// received; the caller writes chunks and finishes (or aborts).
-	SendResponseStream(contentType string) (ChunkSink, error)
-}
-
 // EncodeChunksOf streams doc through enc into sink. Encodings implementing
 // StreamEncoding stream natively with bounded memory; any other encoding is
 // buffered through AppendEncode and delivered as one chunk (the documented
@@ -141,6 +132,12 @@ func DecodeChunksOf(enc Encoding, src ChunkSource) (*bxdm.Document, error) {
 	if se, ok := enc.(StreamEncoding); ok {
 		return se.DecodeChunks(src)
 	}
+	return gatherDecode(enc, src)
+}
+
+// gatherDecode is the gathered fallback: the whole message in one pooled
+// payload (bounded by GatherChunks), then the buffered parser.
+func gatherDecode(enc Encoding, src ChunkSource) (*bxdm.Document, error) {
 	p, err := GatherChunks(src)
 	if err != nil {
 		return nil, err
@@ -150,49 +147,83 @@ func DecodeChunksOf(enc Encoding, src ChunkSource) (*bxdm.Document, error) {
 	return doc, err
 }
 
-// OneChunkSource wraps a materialized payload as a ChunkSource — the
-// degenerate stream a binding returns when the peer sent a buffered
-// message. Takes ownership of p.
+// ResumeSource returns a source that yields p — a chunk already read off
+// src, with its last flag — and then the rest of src. Layers that must look
+// at the head of a message before choosing how to decode it (the codec's
+// one-chunk rule, wssec's frame magic) hand the message on through it. With
+// last set and a nil src it is a materialized payload seen as a one-chunk
+// stream. Takes ownership of p; Abort releases it if unread and aborts src.
 //
 //paylint:transfers
-func OneChunkSource(p *Payload) ChunkSource { return &oneChunkSource{p: p} }
+func ResumeSource(p *Payload, last bool, src ChunkSource) ChunkSource {
+	return &resumedSource{p: p, last: last, src: src}
+}
 
-type oneChunkSource struct{ p *Payload }
+type resumedSource struct {
+	p    *Payload
+	last bool
+	src  ChunkSource // may be nil when last is set
+}
 
 //paylint:returns owned
-func (s *oneChunkSource) ReadChunk() (*Payload, bool, error) {
-	if s.p == nil {
+func (s *resumedSource) ReadChunk() (*Payload, bool, error) {
+	if p := s.p; p != nil {
+		s.p = nil
+		return p, s.last, nil
+	}
+	if s.last {
 		return nil, false, io.EOF
 	}
-	p := s.p
-	s.p = nil
-	return p, true, nil
+	return s.src.ReadChunk()
 }
 
-func (s *oneChunkSource) Abort() {
-	if s.p != nil {
-		s.p.Release()
-		s.p = nil
+func (s *resumedSource) Abort() {
+	s.drop()
+	if s.src != nil {
+		s.src.Abort()
 	}
 }
 
-// GatherChunks concatenates a chunk sequence into one pooled payload — the
-// degenerate buffered case of a streamed message. The caller owns the
-// result.
+// drop releases the held chunk if the consumer never read it.
+func (s *resumedSource) drop() {
+	s.p.Release()
+	s.p = nil
+}
+
+// MaxMessageSize bounds one gathered message (and, through the framing
+// package, one wire frame): a peer can make a receiver hold at most this
+// much of a message it has not finished sending.
+const MaxMessageSize = 1 << 30
+
+// GatherChunks materializes a chunk sequence as one pooled payload the
+// caller owns. A message whose first chunk is also its last IS that chunk
+// (no copy); a longer one is concatenated, up to MaxMessageSize — a peer
+// that never sets last cannot grow the payload without bound. On error
+// nothing is retained and the caller aborts the source.
 //
 //paylint:returns owned
-func GatherChunks(src ChunkSource) (*Payload, error) {
-	p := NewPayload(sizeHintFor("gather"))
+func GatherChunks(src ChunkSource) (*Payload, error) { return gatherChunks(src, MaxMessageSize) }
+
+//paylint:returns owned
+func gatherChunks(src ChunkSource, limit int) (*Payload, error) {
+	c, last, err := src.ReadChunk()
+	if err != nil || last {
+		return c, err
+	}
+	p := NewPayload(2 * c.Len())
 	for {
-		c, last, err := src.ReadChunk()
-		if err != nil {
-			p.Release()
-			return nil, err
-		}
 		p.Write(c.Bytes())
 		c.Release()
 		if last {
 			return p, nil
+		}
+		if c, last, err = src.ReadChunk(); err == nil && p.Len()+c.Len() > limit {
+			c.Release()
+			err = fmt.Errorf("core: chunked message exceeds %d bytes", limit)
+		}
+		if err != nil {
+			p.Release()
+			return nil, err
 		}
 	}
 }
@@ -243,13 +274,7 @@ func (x XMLEncoding) EncodeChunks(doc *bxdm.Document, chunkBytes int, sink Chunk
 // the token buffer), so the decode half of the XML policy is the gathered
 // fallback — documented in the DESIGN.md fallback matrix.
 func (x XMLEncoding) DecodeChunks(src ChunkSource) (*bxdm.Document, error) {
-	p, err := GatherChunks(src)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := x.Decode(p.Bytes())
-	p.Release()
-	return doc, err
+	return gatherDecode(x, src)
 }
 
 // chunkEmitter turns byte windows into owned pooled chunks with one window
@@ -373,17 +398,40 @@ func (r *chunkReader) discard() {
 	}
 }
 
-// EncodeChunks streams an envelope into sink via the codec's encoding (the
-// streamed counterpart of EncodePayload; the template cache does not apply
-// — plans splice materialized buffers).
+// EncodeChunks sends an envelope into sink as chunks of roughly chunkBytes.
+// Window 0 is the one-chunk case: the message is EncodePayload's — template
+// cache included — handed over whole as the single last chunk. A positive
+// window streams through the encoding (the template cache does not apply;
+// plans splice materialized buffers). On error the sink is left unfinished
+// and the caller aborts it.
 func (c Codec[E]) EncodeChunks(e *Envelope, chunkBytes int, sink ChunkSink) error {
-	return EncodeChunksOf(c.enc, e.Document(), chunkBytes, sink)
+	if chunkBytes > 0 {
+		return EncodeChunksOf(c.enc, e.Document(), chunkBytes, sink)
+	}
+	p, err := c.EncodePayload(e)
+	if err != nil {
+		return err
+	}
+	return sink.WriteChunk(p, true)
 }
 
-// DecodeChunks parses a chunked message into an envelope (the streamed
-// counterpart of DecodePayload).
+// DecodeChunks parses a chunked message into an envelope. A message whose
+// first chunk is also its last is DecodePayload over that chunk — zero-copy
+// and templated; a longer one is decoded incrementally by the encoding. On
+// error the caller aborts the source.
 func (c Codec[E]) DecodeChunks(src ChunkSource) (*Envelope, error) {
-	doc, err := DecodeChunksOf(c.enc, src)
+	first, last, err := src.ReadChunk()
+	if err != nil {
+		return nil, err
+	}
+	if last {
+		env, err := c.DecodePayload(first)
+		first.Release()
+		return env, err
+	}
+	rs := resumedSource{p: first, src: src}
+	doc, err := DecodeChunksOf(c.enc, &rs)
+	rs.drop()
 	if err != nil {
 		return nil, err
 	}

@@ -197,8 +197,7 @@ func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, conten
 	}
 	b.pending = resp
 	b.mu.Unlock()
-	b.obs.Inc(obs.MessagesSent)
-	b.obs.Add(obs.BytesSent, uint64(payload.Len()))
+	b.obs.ChunkSent(payload.Len(), true)
 	return nil
 }
 
@@ -232,8 +231,7 @@ func (b *Binding) ReceiveResponse(_ context.Context) (*core.Payload, string, err
 		body.Release()
 		return nil, "", fmt.Errorf("httpbind: unexpected HTTP status %s", resp.Status)
 	}
-	b.obs.Inc(obs.MessagesReceived)
-	b.obs.Add(obs.BytesReceived, uint64(body.Len()))
+	b.obs.ChunkReceived(body.Len(), true)
 	return body, resp.Header.Get("Content-Type"), nil
 }
 
@@ -302,40 +300,48 @@ func Listen(addr string, opts ...Option) (*Listener, error) {
 	return NewListener(l, opts...), nil
 }
 
-type response struct {
-	payload     *core.Payload
-	contentType string
-	status      int
+// chunkWrite is one response chunk on its way from the dispatcher goroutine
+// to the handler goroutine, which owns the ResponseWriter. A message's first
+// chunk carries the content type and the HTTP status; abort (no payload)
+// cuts a message short after its first chunk.
+type chunkWrite struct {
+	p      *core.Payload
+	last   bool
+	abort  bool
+	ct     string
+	status int
 }
 
 // channel adapts one HTTP request to the core.Channel exchange sequence.
-// The request body is read lazily by the dispatcher goroutine — buffered
-// into one payload by ReceiveRequest, or window-by-window by
-// ReceiveRequestStream — so a streamed request never materializes. The
-// handler goroutine keeps the ResponseWriter alive until the exchange
-// resolves through resp (buffered) or stream (chunked).
+// The request body is read by the dispatcher goroutine as the decoder asks
+// for it, so a streamed request never materializes. The handler goroutine
+// keeps the ResponseWriter alive until the response has been handed to it
+// through chunks. That hand-off is unbuffered — the handler's write is the
+// pacing — and every sender selects against hgone, so a payload is always
+// either taken by the handler (which releases it) or still the sender's to
+// release: there is no buffer a response could be parked in.
 type channel struct {
-	w           http.ResponseWriter
-	r           *http.Request
-	contentType string
-	resp        chan response
-	stream      chan *streamResp
+	r      *http.Request
+	chunks chan chunkWrite
 	// hgone closes when the handler goroutine stops serving this exchange
-	// (response written, shutdown, or aborted); streamed sink operations
-	// select against it instead of blocking forever.
+	// (response written, shutdown, or aborted).
 	hgone    chan struct{}
 	received bool
-	// responded records that SendResponse handed a payload to the handler.
-	// Only the dispatcher goroutine (SendResponse/Close callers) touches it.
-	// Close consults it so the "no response produced" fallback is queued
-	// only when the handler is still waiting for one — once a real response
-	// has been handed off the handler returns after writing it, and a
-	// fallback queued then would sit in the buffer unreleased forever.
-	responded bool
-	// abandoned is set by the handler when shutdown wins the race against
-	// the dispatcher's response; see SendResponse for the hand-off protocol.
-	abandoned atomic.Bool
-	obs       *obs.Observer
+	// started is claimed by whoever first offers the handler a response:
+	// the sink with the message's first chunk, or Close with the "no
+	// response produced" fallback (Server.Close closes live channels from
+	// its own goroutine, so the two can race). Exactly one of them opens the
+	// HTTP response; once a real response has been offered, Close stays out.
+	started atomic.Bool
+	obs     *obs.Observer
+	src     srvSource
+	sink    srvSink
+}
+
+func newChannel(r *http.Request, o *obs.Observer) *channel {
+	ch := &channel{r: r, chunks: make(chan chunkWrite), hgone: make(chan struct{}), obs: o}
+	ch.src.c, ch.sink.c = ch, ch
+	return ch
 }
 
 func (s *Listener) handle(w http.ResponseWriter, r *http.Request) {
@@ -343,15 +349,7 @@ func (s *Listener) handle(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	ch := &channel{
-		w:           w,
-		r:           r,
-		contentType: r.Header.Get("Content-Type"),
-		resp:        make(chan response, 1),
-		stream:      make(chan *streamResp, 1),
-		hgone:       make(chan struct{}),
-		obs:         s.obs,
-	}
+	ch := newChannel(r, s.obs)
 	defer close(ch.hgone)
 	select {
 	case s.accept <- ch:
@@ -360,70 +358,46 @@ func (s *Listener) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case resp := <-ch.resp:
-		h := w.Header()
-		h.Set("Content-Type", resp.contentType)
-		// Declare the length explicitly: WriteHeader with no Content-Length
-		// would switch the response to chunked encoding, costing framing
-		// work here and denying the client a right-sized pooled read.
-		h.Set("Content-Length", strconv.Itoa(resp.payload.Len()))
-		w.WriteHeader(resp.status)
-		w.Write(resp.payload.Bytes())
-		resp.payload.Release()
-	case sr := <-ch.stream:
-		s.writeStreamed(w, sr)
+	case m := <-ch.chunks:
+		s.writeResponse(w, ch, m)
 	case <-s.done:
-		// Two-phase abandon: mark the channel first, then drain. A
-		// SendResponse racing this branch re-checks the mark after its
-		// send, so whichever side loses the drain race still releases the
-		// queued payload — it can never be parked in the buffer forever.
-		// (A streamed response needs no drain: the sink hands chunks over
-		// unbuffered and fails against hgone once this handler returns.)
-		ch.abandoned.Store(true)
-		select {
-		case resp := <-ch.resp:
-			resp.payload.Release()
-		default:
-		}
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 	}
 }
 
-// writeStreamed relays a chunked response from the dispatcher's sink to the
-// wire: no Content-Length, so net/http frames the body with HTTP chunked
-// transfer encoding, and each chunk is flushed as it lands — the first
-// response byte leaves before the message (or its trailing signature)
-// exists. The status is sniffed from the first chunk; a streamed fault
-// whose first chunk hides the marker rides status 200, which streaming
-// clients accept (the envelope, not the status, is authoritative).
-func (s *Listener) writeStreamed(w http.ResponseWriter, sr *streamResp) {
-	w.Header().Set("Content-Type", sr.ct)
+// writeResponse puts the response on the wire, starting from its first
+// chunk. A message whose first chunk is also its last goes out with a
+// declared Content-Length (leaving it off would switch the response to
+// chunked encoding, costing framing work here and denying the client a
+// right-sized pooled read). Anything longer has no Content-Length, so
+// net/http frames the body with HTTP chunked transfer encoding, and each
+// chunk is flushed as it lands — the first response byte leaves before the
+// message (or its trailing signature) exists.
+func (s *Listener) writeResponse(w http.ResponseWriter, ch *channel, m chunkWrite) {
+	h := w.Header()
+	h.Set("Content-Type", m.ct)
+	if m.last {
+		h.Set("Content-Length", strconv.Itoa(m.p.Len()))
+	}
+	w.WriteHeader(m.status)
 	flusher, _ := w.(http.Flusher)
-	first := true
 	for {
+		w.Write(m.p.Bytes())
+		m.p.Release()
+		if m.last {
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
 		select {
-		case m := <-sr.chunks:
-			if first {
-				status := http.StatusOK
-				if looksLikeFault(m.p.Bytes()) {
-					status = http.StatusInternalServerError
-				}
-				w.WriteHeader(status)
-				first = false
+		case m = <-ch.chunks:
+			if m.abort {
+				// The dispatcher's encoder failed mid-message. A chunked body
+				// cannot signal an error in-band, so kill the connection: the
+				// client's decoder fails on the truncated stream.
+				panic(http.ErrAbortHandler)
 			}
-			w.Write(m.p.Bytes())
-			m.p.Release()
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if m.last {
-				return
-			}
-		case <-sr.abort:
-			// The dispatcher's encoder failed mid-message. A chunked body
-			// cannot signal an error in-band, so kill the connection: the
-			// client's decoder fails on the truncated stream.
-			panic(http.ErrAbortHandler)
 		case <-s.done:
 			return
 		}
@@ -455,91 +429,165 @@ func (s *Listener) Close() error {
 	return s.srv.Close()
 }
 
+// streamWindow sizes the receive-side slices of a body of undeclared
+// length. It bounds per-chunk pooled allocation, not the message.
+const streamWindow = 64 << 10
+
 // ReceiveRequest implements core.Channel: the one request, then EOF (HTTP
-// is one exchange per channel). The body is read here, on the dispatcher
-// goroutine, into one pooled payload — ContentLength is -1 when unknown,
-// which ReadPayload treats as read-to-EOF. A body read error surfaces as a
-// channel error (the exchange answers with the Close fallback) rather than
-// an HTTP 400. Ownership of the payload transfers to the caller.
-//
-//paylint:returns owned
-func (c *channel) ReceiveRequest(_ context.Context) (*core.Payload, string, error) {
+// is one exchange per channel). The body's first chunk is read here, on the
+// dispatcher goroutine; a read error surfaces as a channel error (the
+// exchange answers with the Close fallback) rather than an HTTP 400.
+func (c *channel) ReceiveRequest(_ context.Context) (core.ChunkSource, string, error) {
 	if c.received {
 		return nil, "", io.EOF
 	}
 	c.received = true
-	p, err := core.ReadPayload(c.r.Body, c.r.ContentLength, 0)
+	p, last, err := c.src.read()
 	if err != nil {
-		return nil, "", &core.TransportError{Op: "read request", Err: fmt.Errorf("httpbind: %w", err)}
+		return nil, "", err
 	}
-	c.obs.Inc(obs.MessagesReceived)
-	c.obs.Add(obs.BytesReceived, uint64(p.Len()))
-	return p, c.contentType, nil
+	c.src.first, c.src.done = p, last
+	return &c.src, c.r.Header.Get("Content-Type"), nil
 }
 
-// SendResponse implements core.Channel; it takes ownership of payload
-// (released by the HTTP handler goroutine after writing, or here on
-// failure). Fault envelopes ride on HTTP 500 per the SOAP 1.1 HTTP
-// binding; the dispatcher has already decided the payload, so status is
-// inferred from it cheaply (faults are rare and small).
+// srvSource yields the request body as chunks. A body of declared length is
+// one chunk, read into a pooled payload of exactly that size — the message
+// as its sender framed it; a body of undeclared length (chunked transfer
+// encoding) is sliced into windows as it arrives. HTTP does not preserve
+// the sender's chunk boundaries, which the chunk contract permits: chunks
+// are arbitrary windows of one message and every streaming decoder is
+// boundary-agnostic.
+type srvSource struct {
+	c     *channel
+	first *core.Payload // read by ReceiveRequest, not yet consumed
+	done  bool          // the last chunk has been read off the body
+}
+
+//paylint:returns owned
+func (s *srvSource) read() (*core.Payload, bool, error) {
+	r := s.c.r
+	var p *core.Payload
+	var err error
+	last := true
+	if r.ContentLength >= 0 {
+		p, err = core.ReadPayload(r.Body, r.ContentLength, 0)
+	} else if p, last, err = core.ReadPayloadWindow(r.Body, streamWindow); err == io.EOF {
+		// Clean end with no pending bytes: the chunk contract wants an
+		// explicit last chunk, so emit an empty one.
+		p, last, err = core.NewPayload(0), true, nil
+	}
+	if err != nil {
+		return nil, false, &core.TransportError{Op: "read request", Err: fmt.Errorf("httpbind: %w", err)}
+	}
+	s.c.obs.ChunkReceived(p.Len(), last)
+	return p, last, nil
+}
+
+//paylint:returns owned
+func (s *srvSource) ReadChunk() (*core.Payload, bool, error) {
+	if p := s.first; p != nil {
+		s.first = nil
+		return p, s.done, nil
+	}
+	if s.done {
+		return nil, false, io.EOF
+	}
+	p, last, err := s.read()
+	s.done = last || err != nil
+	return p, last, err
+}
+
+// Abort stops consuming the request body; net/http settles the connection
+// when the handler returns, and the response side of the exchange still
+// works (the dispatcher answers an undecodable request with a fault).
+func (s *srvSource) Abort() {
+	s.first.Release()
+	s.first, s.done = nil, true
+}
+
+var errResponded = errors.New("httpbind: response already sent")
+
+// SendResponse implements core.Channel.
+func (c *channel) SendResponse(contentType string) (core.ChunkSink, error) {
+	if c.started.Load() {
+		return nil, errResponded
+	}
+	c.sink.ct, c.sink.open = contentType, false
+	return &c.sink, nil
+}
+
+// handOff gives one response chunk to the handler goroutine, or releases
+// it if the handler is gone.
 //
 //paylint:transfers
-func (c *channel) SendResponse(payload *core.Payload, contentType string) error {
-	status := http.StatusOK
-	if looksLikeFault(payload.Bytes()) {
-		status = http.StatusInternalServerError
-	}
-	n := payload.Len()
+func (c *channel) handOff(m chunkWrite) error {
 	select {
-	case c.resp <- response{payload: payload, contentType: contentType, status: status}:
-		c.responded = true
-		c.obs.Inc(obs.MessagesSent)
-		c.obs.Add(obs.BytesSent, uint64(n))
-		if c.abandoned.Load() {
-			// The handler gave up on this exchange. It drains c.resp after
-			// setting the flag, so the queued response is either already
-			// released by the handler or still ours to reclaim here; both
-			// orders release it exactly once.
-			select {
-			case r := <-c.resp:
-				r.payload.Release()
-			default:
-			}
-			return &core.TransportError{Op: "send response", Err: errors.New("httpbind: server shutting down")}
-		}
+	case c.chunks <- m:
 		return nil
-	default:
-		payload.Release()
-		return errors.New("httpbind: response already sent")
+	case <-c.hgone:
+		m.p.Release()
+		return &core.TransportError{Op: "send response", Err: errors.New("httpbind: handler gone")}
+	}
+}
+
+// srvSink forwards response chunks to the handler goroutine's write loop.
+type srvSink struct {
+	c    *channel
+	ct   string
+	open bool // the message's first chunk is with the handler
+}
+
+// WriteChunk implements core.ChunkSink. Fault envelopes ride on HTTP 500
+// per the SOAP 1.1 HTTP binding; the status is sniffed from the first chunk
+// (faults are rare and small). A streamed fault whose first chunk hides the
+// marker rides status 200, which streaming clients accept — the envelope,
+// not the status, is authoritative.
+//
+//paylint:transfers
+func (s *srvSink) WriteChunk(p *core.Payload, last bool) error {
+	c := s.c
+	m := chunkWrite{p: p, last: last}
+	if !s.open {
+		if !c.started.CompareAndSwap(false, true) {
+			p.Release()
+			return errResponded
+		}
+		m.ct, m.status = s.ct, http.StatusOK
+		if looksLikeFault(p.Bytes()) {
+			m.status = http.StatusInternalServerError
+		}
+	}
+	n := p.Len()
+	if err := c.handOff(m); err != nil {
+		return err
+	}
+	s.open = true
+	c.obs.ChunkSent(n, last)
+	return nil
+}
+
+// Abort abandons the response. Before its first chunk nothing has reached
+// the handler, which keeps waiting — Close then answers with the fallback.
+// Mid-message it tells the handler to kill the connection: a chunked body
+// cannot carry an in-band error, so truncation is the signal.
+func (s *srvSink) Abort() {
+	if s.open {
+		s.c.handOff(chunkWrite{abort: true})
 	}
 }
 
 // Close implements core.Channel: answer the HTTP request with an error if
-// no response was produced. The fallback is queued only when no response
-// was ever handed off (after a real response the handler writes it and
-// returns — a payload queued then would be parked in the buffer forever),
-// and it follows the same two-phase hand-off as SendResponse: if the
-// handler has already abandoned the exchange, nobody will ever drain
-// c.resp, so Close reclaims its own payload instead of leaking it.
+// no response was produced. The fallback is offered only when no response
+// was ever handed off — after a real response the handler writes it and
+// returns.
 func (c *channel) Close() error {
-	if c.responded {
-		return nil
-	}
-	select {
-	case c.resp <- response{
-		payload:     core.NewPayloadFrom([]byte("no response produced")),
-		contentType: "text/plain",
-		status:      http.StatusInternalServerError,
-	}:
-		c.responded = true
-		if c.abandoned.Load() {
-			select {
-			case r := <-c.resp:
-				r.payload.Release()
-			default:
-			}
-		}
-	default:
+	if c.started.CompareAndSwap(false, true) {
+		c.handOff(chunkWrite{
+			p:      core.NewPayloadFrom([]byte("no response produced")),
+			last:   true,
+			ct:     "text/plain",
+			status: http.StatusInternalServerError,
+		})
 	}
 	return nil
 }

@@ -12,6 +12,26 @@ import (
 	"bxsoap/internal/core"
 )
 
+// receive gathers the channel's request into one payload.
+func receive(ch core.Channel) (*core.Payload, string, error) {
+	src, ct, err := ch.ReceiveRequest(context.Background())
+	if err != nil {
+		return nil, "", err
+	}
+	p, err := core.GatherChunks(src)
+	return p, ct, err
+}
+
+// respond answers with p as a one-chunk response.
+func respond(ch core.Channel, p *core.Payload, ct string) error {
+	sink, err := ch.SendResponse(ct)
+	if err != nil {
+		p.Release()
+		return err
+	}
+	return sink.WriteChunk(p, true)
+}
+
 // startEcho runs a Listener whose accept loop echoes request payloads.
 func startEcho(t *testing.T) *Listener {
 	t.Helper()
@@ -28,13 +48,13 @@ func startEcho(t *testing.T) *Listener {
 			}
 			go func() {
 				defer ch.Close()
-				payload, ct, err := ch.ReceiveRequest(context.Background())
+				payload, ct, err := receive(ch)
 				if err != nil {
 					return
 				}
 				resp := core.NewPayloadFrom(append([]byte("echo:"), payload.Bytes()...))
 				payload.Release()
-				ch.SendResponse(resp, ct)
+				respond(ch, resp, ct)
 			}()
 		}
 	}()
@@ -89,10 +109,10 @@ func TestFaultRidesOn500(t *testing.T) {
 			return
 		}
 		defer ch.Close()
-		if payload, _, err := ch.ReceiveRequest(context.Background()); err == nil {
+		if payload, _, err := receive(ch); err == nil {
 			payload.Release()
 		}
-		ch.SendResponse(core.NewPayloadFrom([]byte(`<soap:Fault>boom</soap:Fault>`)), "text/xml")
+		respond(ch, core.NewPayloadFrom([]byte(`<soap:Fault>boom</soap:Fault>`)), "text/xml")
 	}()
 	resp, err := http.Post(s.URL(), "text/xml", strings.NewReader("<x/>"))
 	if err != nil {
@@ -122,14 +142,14 @@ func TestChannelSecondReceiveIsEOF(t *testing.T) {
 			return
 		}
 		defer ch.Close()
-		if payload, _, err := ch.ReceiveRequest(context.Background()); err != nil {
+		if payload, _, err := receive(ch); err != nil {
 			got <- err
 			return
 		} else {
 			payload.Release()
 		}
-		_, _, err = ch.ReceiveRequest(context.Background())
-		ch.SendResponse(core.NewPayloadFrom([]byte("done")), "text/plain")
+		_, _, err = receive(ch)
+		respond(ch, core.NewPayloadFrom([]byte("done")), "text/plain")
 		got <- err
 	}()
 	resp, err := http.Post(s.URL(), "text/plain", strings.NewReader("one"))
@@ -153,7 +173,7 @@ func TestChannelCloseWithoutResponseAnswers500(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if payload, _, err := ch.ReceiveRequest(context.Background()); err == nil {
+		if payload, _, err := receive(ch); err == nil {
 			payload.Release()
 		}
 		ch.Close() // never responds

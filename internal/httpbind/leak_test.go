@@ -1,7 +1,6 @@
 package httpbind
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"strings"
@@ -11,43 +10,41 @@ import (
 	"bxsoap/internal/core"
 )
 
-// The shutdown/response race used to leak: a SendResponse that queued its
-// payload in c.resp just as the handler's shutdown branch gave up on the
-// exchange left the payload parked in the buffered channel forever — a
-// pooled buffer checked out and never released. The two-phase abandon
-// protocol (handler: mark then drain; sender: send, re-check mark, reclaim)
-// releases it exactly once in every interleaving. These tests pin both
-// interleavings directly and then the whole race end-to-end.
+// The shutdown/response race used to leak: a response queued in a buffered
+// channel just as the handler's shutdown branch gave up on the exchange was
+// parked there forever — a pooled buffer checked out and never released.
+// The hand-off is now unbuffered and every sender selects against hgone, so
+// a payload is either taken by the handler or released by its sender in
+// every interleaving. These tests pin both interleavings directly and then
+// the whole race end-to-end.
 
-// TestAbandonedResponseReleasedSenderFirst: the response is queued before
-// the handler abandons; the handler's drain finds and releases it.
+// TestAbandonedResponseReleasedSenderFirst: the sender is already offering
+// the response when the handler abandons the exchange; the sender sees the
+// handler go and releases its own payload.
 func TestAbandonedResponseReleasedSenderFirst(t *testing.T) {
 	base := core.PayloadsInUse()
-	ch := &channel{resp: make(chan response, 1)}
-	if err := ch.SendResponse(core.NewPayloadFrom([]byte("late")), "text/xml"); err != nil {
-		t.Fatalf("SendResponse before abandon: %v", err)
-	}
-	// Handler side, as in handle()'s shutdown branch: mark, then drain.
-	ch.abandoned.Store(true)
-	select {
-	case resp := <-ch.resp:
-		resp.payload.Release()
-	default:
+	ch := newChannel(nil, nil)
+	sent := make(chan error, 1)
+	go func() { sent <- respond(ch, core.NewPayloadFrom([]byte("late")), "text/xml") }()
+	// Handler side, as in handle()'s shutdown branch: give up and return.
+	time.Sleep(5 * time.Millisecond) // let the sender block in its offer
+	close(ch.hgone)
+	if err := <-sent; err == nil {
+		t.Fatal("response offered to an abandoning handler succeeded, want error")
 	}
 	if got := core.PayloadsInUse(); got != base {
-		t.Fatalf("PayloadsInUse = %d, want %d — queued response leaked", got, base)
+		t.Fatalf("PayloadsInUse = %d, want %d — offered response leaked", got, base)
 	}
 }
 
 // TestAbandonedResponseReleasedHandlerFirst: the handler abandons before
-// SendResponse runs; the sender re-checks the mark and reclaims its own
-// queued payload, reporting the shutdown as a transport error.
+// the response is offered; the sender reclaims its own payload, reporting
+// the shutdown as a transport error.
 func TestAbandonedResponseReleasedHandlerFirst(t *testing.T) {
 	base := core.PayloadsInUse()
-	ch := &channel{resp: make(chan response, 1)}
-	ch.abandoned.Store(true)
-	// The handler's drain ran before the send; the channel is empty.
-	err := ch.SendResponse(core.NewPayloadFrom([]byte("late")), "text/xml")
+	ch := newChannel(nil, nil)
+	close(ch.hgone)
+	err := respond(ch, core.NewPayloadFrom([]byte("late")), "text/xml")
 	if err == nil {
 		t.Fatal("SendResponse after abandon succeeded, want error")
 	}
@@ -61,20 +58,24 @@ func TestAbandonedResponseReleasedHandlerFirst(t *testing.T) {
 }
 
 // TestCloseAfterResponseDoesNotQueueFallback: once a real response has been
-// handed off and consumed, the handler has returned — Close must not queue
-// its "no response produced" fallback into c.resp, because nobody is left
-// to drain it and the pooled payload would be parked forever. (This was the
-// common-path leak: every normal exchange whose dispatcher closed the
-// channel after the handler wrote the response lost one pooled buffer.)
+// handed off and consumed, the handler has returned — Close must not offer
+// its "no response produced" fallback, because nobody is left to take it.
+// (This was the common-path leak: every normal exchange whose dispatcher
+// closed the channel after the handler wrote the response lost one pooled
+// buffer.)
 func TestCloseAfterResponseDoesNotQueueFallback(t *testing.T) {
 	base := core.PayloadsInUse()
-	ch := &channel{resp: make(chan response, 1)}
-	if err := ch.SendResponse(core.NewPayloadFrom([]byte("<pong/>")), "text/xml"); err != nil {
+	ch := newChannel(nil, nil)
+	// Handler side: consume, write, release, return.
+	go func() {
+		m := <-ch.chunks
+		m.p.Release()
+		close(ch.hgone)
+	}()
+	if err := respond(ch, core.NewPayloadFrom([]byte("<pong/>")), "text/xml"); err != nil {
 		t.Fatalf("SendResponse: %v", err)
 	}
-	// Handler side: consume, write, release, return.
-	r := <-ch.resp
-	r.payload.Release()
+	<-ch.hgone
 	if err := ch.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestShutdownResponseRaceDoesNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, ct, err := ch.ReceiveRequest(context.Background())
+	payload, ct, err := receive(ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestShutdownResponseRaceDoesNotLeak(t *testing.T) {
 
 	// Shutdown races the response below.
 	s.Close()
-	ch.SendResponse(core.NewPayloadFrom([]byte("<pong/>")), ct)
+	respond(ch, core.NewPayloadFrom([]byte("<pong/>")), ct)
 	ch.Close()
 
 	if err := <-clientDone; err != nil {

@@ -11,20 +11,18 @@ import (
 	"bxsoap/internal/obs"
 )
 
-// Chunked transfer over HTTP/1.1 rides the protocol's own framing: a
-// streamed request is a POST with no Content-Length (net/http switches to
-// chunked transfer encoding), a streamed response is a chunked body flushed
-// per chunk. HTTP does not preserve chunk boundaries — the peer's decoder
-// sees the same byte stream re-sliced into streamWindow-sized pieces —
-// which the chunk contract explicitly permits: chunks are arbitrary windows
-// of one message, and every streaming decoder is boundary-agnostic. The
-// fallback matrix is automatic: a buffered peer reads the chunked body to
-// EOF into one payload, and a streamed receiver slices a Content-Length
-// body into windows, so no capability negotiation is needed.
-
-// streamWindow sizes the receive-side slices of a continuous body. It
-// bounds per-chunk pooled allocation, not the message.
-const streamWindow = 64 << 10
+// The client's streamed face. Chunked transfer over HTTP/1.1 rides the
+// protocol's own framing: a streamed request is a POST with no
+// Content-Length (net/http switches to chunked transfer encoding). HTTP
+// does not preserve chunk boundaries — the peer's decoder sees the same
+// byte stream re-sliced into streamWindow-sized pieces — which the chunk
+// contract explicitly permits: chunks are arbitrary windows of one message,
+// and every streaming decoder is boundary-agnostic. The fallback matrix is
+// automatic: either kind of body reaches the server channel's one source,
+// and this side slices a Content-Length response into windows, so no
+// capability negotiation is needed. (The buffered face in httpbind.go stays
+// a separate mechanism — client.Do on a replayable body versus a pipe fed
+// from a goroutine; see DESIGN.md "kept twins".)
 
 // doResult is the outcome of the background POST carrying a streamed
 // request.
@@ -216,104 +214,4 @@ func (s *cliSource) Abort() {
 	s.b.client.CloseIdleConnections()
 }
 
-// streamResp hands a chunked response from the dispatcher goroutine to the
-// HTTP handler goroutine, which owns the ResponseWriter. chunks is
-// unbuffered: the handler's write+flush is the pacing.
-type streamResp struct {
-	ct     string
-	chunks chan chunkWrite
-	abort  chan struct{}
-}
-
-type chunkWrite struct {
-	p    *core.Payload
-	last bool
-}
-
-// ReceiveRequestStream implements core.StreamChannel: the request body,
-// sliced into windows as it arrives.
-func (c *channel) ReceiveRequestStream(_ context.Context) (core.ChunkSource, string, error) {
-	if c.received {
-		return nil, "", io.EOF
-	}
-	c.received = true
-	return &srvSource{c: c}, c.contentType, nil
-}
-
-// srvSource slices the inbound request body. A read failure just ends the
-// stream with an error — the dispatcher converts it into a fault, and the
-// response side of the exchange still works.
-type srvSource struct {
-	c    *channel
-	done bool
-}
-
-//paylint:returns owned
-func (s *srvSource) ReadChunk() (*core.Payload, bool, error) {
-	if s.done {
-		return nil, false, io.EOF
-	}
-	p, eof, err := core.ReadPayloadWindow(s.c.r.Body, streamWindow)
-	if err != nil {
-		s.done = true
-		if err == io.EOF {
-			s.c.obs.Inc(obs.MessagesReceived)
-			return core.NewPayload(0), true, nil
-		}
-		return nil, false, &core.TransportError{Op: "read request", Err: fmt.Errorf("httpbind: %w", err)}
-	}
-	s.c.obs.Add(obs.BytesReceived, uint64(p.Len()))
-	if eof {
-		s.done = true
-		s.c.obs.Inc(obs.MessagesReceived)
-	}
-	return p, eof, nil
-}
-
-// Abort stops consuming the request body; net/http settles the connection
-// when the handler returns.
-func (s *srvSource) Abort() { s.done = true }
-
-// SendResponseStream implements core.StreamChannel: it hands a chunk relay
-// to the handler goroutine and returns the sink feeding it.
-func (c *channel) SendResponseStream(ct string) (core.ChunkSink, error) {
-	sr := &streamResp{ct: ct, chunks: make(chan chunkWrite), abort: make(chan struct{})}
-	select {
-	case c.stream <- sr:
-		c.responded = true
-		return &srvSink{c: c, sr: sr}, nil
-	default:
-		return nil, errors.New("httpbind: response already sent")
-	}
-}
-
-// srvSink forwards response chunks to the handler goroutine's write loop.
-type srvSink struct {
-	c  *channel
-	sr *streamResp
-}
-
-//paylint:transfers
-func (s *srvSink) WriteChunk(p *core.Payload, last bool) error {
-	n := p.Len()
-	select {
-	case s.sr.chunks <- chunkWrite{p: p, last: last}:
-		s.c.obs.Add(obs.BytesSent, uint64(n))
-		if last {
-			s.c.obs.Inc(obs.MessagesSent)
-		}
-		return nil
-	case <-s.c.hgone:
-		p.Release()
-		return &core.TransportError{Op: "send response", Err: errors.New("httpbind: handler gone")}
-	}
-}
-
-// Abort tells the handler to kill the connection: a chunked body cannot
-// carry an in-band error, so truncation is the signal.
-func (s *srvSink) Abort() {
-	close(s.sr.abort)
-}
-
 var _ core.StreamBinding = (*Binding)(nil)
-var _ core.StreamChannel = (*channel)(nil)

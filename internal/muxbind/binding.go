@@ -72,12 +72,13 @@ func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, conten
 	case <-sess.done:
 		return sess.failure()
 	}
-	id, resp, err := sess.open()
+	resp := make(chan result, 1)
+	id, err := sess.open(resp, nil)
 	if err != nil {
 		return err
 	}
 	payload.Retain()
-	if err := sess.enqueue(wreq{typ: fData, stream: id, payload: payload, ct: contentType}); err != nil {
+	if err := sess.enqueue(qframe{typ: fData, stream: id, payload: payload, ct: contentType}); err != nil {
 		payload.Release()
 		return err
 	}

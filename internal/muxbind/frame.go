@@ -6,21 +6,21 @@ import (
 	"io"
 
 	"bxsoap/internal/core"
+	"bxsoap/internal/framing"
+	"bxsoap/internal/obs"
 	"bxsoap/internal/vls"
 )
 
 const (
-	magic0, magic1 = 'B', 'X'
+	magic0, magic1 = framing.Magic0, framing.Magic1
 	version        = 0x02
 
-	// MaxFrameSize bounds a single DATA frame's payload; larger length
-	// prefixes are rejected before any allocation, guarding against hostile
-	// or desynchronized peers (same bound as tcpbind's v1 frame).
-	MaxFrameSize = 1 << 30
+	// MaxFrameSize bounds a single DATA or CHUNK frame's payload; larger
+	// length prefixes are rejected before any allocation (the bound, and
+	// the reader that enforces it, are shared with tcpbind).
+	MaxFrameSize = framing.MaxFrameSize
 
-	// maxContentTypeLen bounds the DATA frame's content-type field,
-	// likewise checked before allocation.
-	maxContentTypeLen = 1024
+	maxContentTypeLen = framing.MaxContentTypeLen
 
 	// maxDetailLen bounds the human-readable detail carried by RST and
 	// GOAWAY frames. Detail is diagnostic text, not data; a peer that needs
@@ -103,9 +103,8 @@ type frame struct {
 // buffers for the bounded string fields and a cache of the content type's
 // string form (the same peer sends the same content type on every frame).
 type frameReader struct {
-	ctScratch     [maxContentTypeLen]byte
+	ct            framing.ContentType
 	detailScratch [maxDetailLen]byte
-	lastCT        string
 }
 
 // read decodes one frame; for DATA frames the caller owns f.payload and
@@ -134,85 +133,32 @@ func (fr *frameReader) read(r *bufio.Reader) (frame, error) {
 	}
 	f.stream = stream
 	switch f.typ {
-	case fData:
+	case fData, fChunk:
 		if stream == 0 {
-			return f, fmt.Errorf("muxbind: DATA frame on control stream 0")
+			return f, fmt.Errorf("muxbind: frame type %#x on control stream 0", f.typ)
 		}
-		ctLen, err := vls.ReadUint(r)
-		if err != nil {
-			return f, err
-		}
-		if ctLen > maxContentTypeLen {
-			return f, fmt.Errorf("muxbind: content-type length %d too large", ctLen)
-		}
-		ctBytes := fr.ctScratch[:ctLen]
-		if _, err := io.ReadFull(r, ctBytes); err != nil {
-			return f, err
-		}
-		ct := fr.lastCT
-		if string(ctBytes) != ct {
-			ct = string(ctBytes)
-			fr.lastCT = ct
-		}
-		f.ct = ct
-		n, err := vls.ReadUint(r)
-		if err != nil {
-			return f, err
-		}
-		if n > MaxFrameSize {
-			return f, fmt.Errorf("muxbind: frame length %d exceeds limit", n)
-		}
-		payload, err := core.ReadPayload(r, int64(n), MaxFrameSize)
-		if err != nil {
-			return f, err
-		}
-		f.payload = payload
-		return f, nil
-	case fChunk:
-		if stream == 0 {
-			return f, fmt.Errorf("muxbind: CHUNK frame on control stream 0")
-		}
-		flags, err := r.ReadByte()
-		if err != nil {
-			return f, err
-		}
-		if flags&^byte(chunkFirst|chunkLast) != 0 {
-			return f, fmt.Errorf("muxbind: reserved chunk flags %#x", flags)
-		}
-		f.first = flags&chunkFirst != 0
-		f.last = flags&chunkLast != 0
-		if f.first {
-			ctLen, err := vls.ReadUint(r)
+		// A DATA frame is a whole message: implicitly first and last, though
+		// f.first/f.last stay unset (its receivers switch on the type).
+		first := true
+		if f.typ == fChunk {
+			flags, err := r.ReadByte()
 			if err != nil {
 				return f, err
 			}
-			if ctLen > maxContentTypeLen {
-				return f, fmt.Errorf("muxbind: content-type length %d too large", ctLen)
+			if flags&^byte(chunkFirst|chunkLast) != 0 {
+				return f, fmt.Errorf("muxbind: reserved chunk flags %#x", flags)
 			}
-			ctBytes := fr.ctScratch[:ctLen]
-			if _, err := io.ReadFull(r, ctBytes); err != nil {
+			f.first = flags&chunkFirst != 0
+			f.last = flags&chunkLast != 0
+			first = f.first
+		}
+		if first {
+			if f.ct, err = fr.ct.Read(r); err != nil {
 				return f, err
 			}
-			ct := fr.lastCT
-			if string(ctBytes) != ct {
-				ct = string(ctBytes)
-				fr.lastCT = ct
-			}
-			f.ct = ct
 		}
-		n, err := vls.ReadUint(r)
-		if err != nil {
-			return f, err
-		}
-		if n > MaxFrameSize {
-			return f, fmt.Errorf("muxbind: chunk length %d exceeds limit", n)
-		}
-		payload, err := core.ReadPayload(r, int64(n), MaxFrameSize)
-		if err != nil {
-			return f, err
-		}
-		f.payload = payload
-		return f, nil
+		f.payload, err = framing.ReadBody(r)
+		return f, err
 	case fRst:
 		if stream == 0 {
 			return f, fmt.Errorf("muxbind: RST frame on control stream 0")
@@ -278,10 +224,8 @@ func writeHeader(w *bufio.Writer, typ byte, stream uint64) {
 
 func writeData(w *bufio.Writer, stream uint64, payload []byte, contentType string) {
 	writeHeader(w, fData, stream)
-	vls.WriteUint(w, uint64(len(contentType)))
-	w.WriteString(contentType)
-	vls.WriteUint(w, uint64(len(payload)))
-	w.Write(payload)
+	framing.WriteContentType(w, contentType)
+	framing.WriteBody(w, payload)
 }
 
 func writeChunk(w *bufio.Writer, stream uint64, payload []byte, contentType string, first, last bool) {
@@ -295,11 +239,9 @@ func writeChunk(w *bufio.Writer, stream uint64, payload []byte, contentType stri
 	}
 	w.WriteByte(flags)
 	if first {
-		vls.WriteUint(w, uint64(len(contentType)))
-		w.WriteString(contentType)
+		framing.WriteContentType(w, contentType)
 	}
-	vls.WriteUint(w, uint64(len(payload)))
-	w.Write(payload)
+	framing.WriteBody(w, payload)
 }
 
 func writeRst(w *bufio.Writer, stream, code uint64, detail string) {
@@ -325,4 +267,46 @@ func writeGoaway(w *bufio.Writer, code uint64, detail string) {
 	vls.WriteUint(w, code)
 	vls.WriteUint(w, uint64(len(detail)))
 	w.WriteString(detail)
+}
+
+// qframe is one frame queued for a connection's writer goroutine (either
+// side's). Payload ownership transfers with the struct: whoever dequeues it
+// — the writer, or a failure drain — releases it.
+type qframe struct {
+	typ     byte
+	stream  uint64
+	payload *core.Payload
+	ct      string
+	code    uint64
+	detail  string
+	first   bool // CHUNK
+	last    bool // CHUNK
+}
+
+// write appends the frame to the write buffer (no flush), counts it,
+// releases its payload, and returns a CHUNK frame's pacing slot to slots.
+// bufio latches errors, so the writer loop's flush sees any failure here.
+func (w qframe) write(bw *bufio.Writer, o *obs.Observer, slots chan<- struct{}) {
+	switch w.typ {
+	case fData:
+		writeData(bw, w.stream, w.payload.Bytes(), w.ct)
+		o.ChunkSent(w.payload.Len(), true)
+	case fChunk:
+		writeChunk(bw, w.stream, w.payload.Bytes(), w.ct, w.first, w.last)
+		o.ChunkSent(w.payload.Len(), w.last)
+		putSlot(slots)
+	case fRst:
+		writeRst(bw, w.stream, w.code, w.detail)
+	}
+	w.payload.Release()
+}
+
+// putSlot returns one chunk pacing slot. Non-blocking: at most
+// maxChunkSlots are ever outstanding, so the channel has room by
+// construction.
+func putSlot(slots chan<- struct{}) {
+	select {
+	case slots <- struct{}{}:
+	default:
+	}
 }

@@ -235,6 +235,10 @@ func (s *Server[E]) worker() {
 	}
 }
 
+// serveJob runs one admitted message through the shared dispatcher. A DATA
+// request is dispatched whole; a chunked one decodes incrementally off the
+// stream's queue and, when ChunkBytes is configured, is answered chunked
+// (respond-in-kind). Every other response is one buffered DATA frame.
 func (s *Server[E]) serveJob(j job) {
 	defer j.sc.finish(j.stream, j.cancel)
 	j.sp.Mark(obs.ServerReceive)
@@ -245,30 +249,46 @@ func (s *Server[E]) serveJob(j job) {
 		s.obs.FinishHop(j.hop, j.ctx.Err())
 		return
 	}
-	if j.src != nil {
-		s.serveStreamedJob(j)
-		return
+	codec := s.disp.Codec()
+	var out *core.Payload
+	var err error
+	if j.src == nil {
+		out, err = s.disp.DispatchPayload(j.ctx, j.payload, j.ct, &j.sp, j.hop)
+		j.payload.Release()
+	} else {
+		resp := s.disp.DispatchStream(j.ctx, j.src, j.ct, &j.sp, j.hop)
+		if s.cfg.ChunkBytes > 0 && j.ctx.Err() == nil {
+			sink := &srvChunkSink{sc: j.sc, stream: j.stream, ct: codec.ContentType()}
+			if err = codec.EncodeChunks(resp, s.cfg.ChunkBytes, sink); err != nil {
+				sink.Abort()
+				s.logStream(j.stream, err)
+			} else {
+				j.sp.Mark(obs.ServerSend)
+			}
+			s.obs.FinishHop(j.hop, err)
+			return
+		}
+		if out, err = codec.EncodePayload(resp); err != nil {
+			err = fmt.Errorf("encode response: %w", err)
+		}
+		j.sp.Mark(obs.ServerEncode)
 	}
-	out, err := s.disp.DispatchPayload(j.ctx, j.payload, j.ct, &j.sp, j.hop)
-	j.payload.Release()
 	if err != nil {
 		s.obs.FinishHop(j.hop, err)
-		if s.cfg.ErrorLog != nil {
-			s.cfg.ErrorLog.Printf("muxbind: stream %d: %v", j.stream, err)
-		}
+		s.logStream(j.stream, err)
 		s.obs.Inc(obs.MuxResets)
 		s.obs.Event(obs.EvStreamReset, rstCodeName(RstInternal))
-		j.sc.enqueue(swrite{typ: fRst, stream: j.stream, code: RstInternal, detail: "response encoding failed"})
+		j.sc.enqueue(qframe{typ: fRst, stream: j.stream, code: RstInternal, detail: "response encoding failed"})
 		return
 	}
 	if j.ctx.Err() != nil {
-		// Cancelled during the handler: the client abandoned the stream,
-		// so the response has no reader worth a write.
+		// Cancelled during decode or the handler: the client abandoned the
+		// stream, so the response has no reader worth a write.
 		out.Release()
 		s.obs.FinishHop(j.hop, j.ctx.Err())
 		return
 	}
-	if err := j.sc.enqueue(swrite{typ: fData, stream: j.stream, payload: out, ct: s.disp.Codec().ContentType()}); err != nil {
+	if err := j.sc.enqueue(qframe{typ: fData, stream: j.stream, payload: out, ct: codec.ContentType()}); err != nil {
 		s.obs.FinishHop(j.hop, err)
 		return
 	}
@@ -276,65 +296,10 @@ func (s *Server[E]) serveJob(j job) {
 	s.obs.FinishHop(j.hop, nil)
 }
 
-// serveStreamedJob runs one chunked stream through the dispatcher: the
-// request decodes incrementally off the stream's queue, and the response
-// goes back chunked (when ChunkBytes is configured) or as one buffered
-// DATA frame. Protocol behavior is the shared dispatcher's either way.
-func (s *Server[E]) serveStreamedJob(j job) {
-	out := s.disp.DispatchStream(j.ctx, j.src, j.ct, &j.sp, j.hop)
-	if j.ctx.Err() != nil {
-		// Cancelled during decode or the handler: the client abandoned the
-		// stream, so the response has no reader worth a write.
-		s.obs.FinishHop(j.hop, j.ctx.Err())
-		return
+func (s *Server[E]) logStream(stream uint64, err error) {
+	if s.cfg.ErrorLog != nil {
+		s.cfg.ErrorLog.Printf("muxbind: stream %d: %v", stream, err)
 	}
-	ct := s.disp.Codec().ContentType()
-	if s.cfg.ChunkBytes > 0 {
-		sink := &srvChunkSink{sc: j.sc, stream: j.stream, ct: ct}
-		if err := s.disp.Codec().EncodeChunks(out, s.cfg.ChunkBytes, sink); err != nil {
-			sink.Abort()
-			s.obs.FinishHop(j.hop, err)
-			if s.cfg.ErrorLog != nil {
-				s.cfg.ErrorLog.Printf("muxbind: stream %d: %v", j.stream, err)
-			}
-			return
-		}
-		j.sp.Mark(obs.ServerSend)
-		s.obs.FinishHop(j.hop, nil)
-		return
-	}
-	p, err := s.disp.Codec().EncodePayload(out)
-	j.sp.Mark(obs.ServerEncode)
-	if err != nil {
-		s.obs.FinishHop(j.hop, err)
-		if s.cfg.ErrorLog != nil {
-			s.cfg.ErrorLog.Printf("muxbind: stream %d: %v", j.stream, err)
-		}
-		s.obs.Inc(obs.MuxResets)
-		s.obs.Event(obs.EvStreamReset, rstCodeName(RstInternal))
-		j.sc.enqueue(swrite{typ: fRst, stream: j.stream, code: RstInternal, detail: "response encoding failed"})
-		return
-	}
-	if err := j.sc.enqueue(swrite{typ: fData, stream: j.stream, payload: p, ct: ct}); err != nil {
-		s.obs.FinishHop(j.hop, err)
-		return
-	}
-	j.sp.Mark(obs.ServerSend)
-	s.obs.FinishHop(j.hop, nil)
-}
-
-// swrite is one frame queued for a connection's writer goroutine. DATA
-// payload ownership transfers with the struct; whoever dequeues (writer or
-// the failure drain) releases it.
-type swrite struct {
-	typ     byte
-	stream  uint64
-	payload *core.Payload
-	ct      string
-	code    uint64
-	detail  string
-	first   bool // CHUNK
-	last    bool // CHUNK
 }
 
 // srvConn is the server side of one multiplexed connection: a reader doing
@@ -352,7 +317,7 @@ type srvConn struct {
 	// slot, plus the chunk pacing window — so enqueue under mu never needs
 	// to block; overflow means the peer is violating flow control and fails
 	// the connection.
-	writeq chan swrite
+	writeq chan qframe
 	// chunkSlots paces chunked responses exactly as the client session's
 	// slots pace requests: one per queued CHUNK frame, returned at write.
 	chunkSlots chan struct{}
@@ -378,7 +343,7 @@ func newSrvConn(conn net.Conn, jobs chan<- job, sctx context.Context, cfg Config
 		sctx:       sctx,
 		cfg:        cfg,
 		obs:        o,
-		writeq:     make(chan swrite, 2*cfg.StreamCredit+maxChunkSlots+8),
+		writeq:     make(chan qframe, 2*cfg.StreamCredit+maxChunkSlots+8),
 		chunkSlots: make(chan struct{}, maxChunkSlots),
 		kick:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
@@ -431,7 +396,7 @@ func (sc *srvConn) fail(err error) {
 		case w := <-sc.writeq:
 			w.payload.Release()
 			if w.typ == fChunk {
-				sc.putChunkSlot()
+				putSlot(sc.chunkSlots)
 			}
 		default:
 			sc.mu.Unlock()
@@ -446,19 +411,10 @@ func (sc *srvConn) fail(err error) {
 	}
 }
 
-// putChunkSlot returns one response pacing slot (non-blocking; at most
-// maxChunkSlots are outstanding by construction).
-func (sc *srvConn) putChunkSlot() {
-	select {
-	case sc.chunkSlots <- struct{}{}:
-	default:
-	}
-}
-
 // enqueue hands a frame to the connection's writer; under mu so it cannot
 // race fail's drain. On a dead connection the frame's payload is released
 // here and a classified error returns.
-func (sc *srvConn) enqueue(w swrite) error {
+func (sc *srvConn) enqueue(w qframe) error {
 	sc.mu.Lock()
 	if sc.failed != nil {
 		err := sc.failed
@@ -522,18 +478,14 @@ func (sc *srvConn) readLoop() {
 		}
 		switch f.typ {
 		case fData:
-			sc.obs.Inc(obs.MessagesReceived)
-			sc.obs.Add(obs.BytesReceived, uint64(f.payload.Len()))
+			sc.obs.ChunkReceived(f.payload.Len(), true)
 			if !sc.admit(f) {
 				return
 			}
 		case fChunk:
-			sc.obs.Add(obs.BytesReceived, uint64(f.payload.Len()))
-			if f.last {
-				sc.obs.Inc(obs.MessagesReceived)
-			}
+			sc.obs.ChunkReceived(f.payload.Len(), f.last)
 			if f.first {
-				if !sc.admitChunk(f) {
+				if !sc.admit(f) {
 					return
 				}
 			} else {
@@ -563,8 +515,13 @@ func (sc *srvConn) readLoop() {
 	}
 }
 
-// admit runs admission control for one DATA frame. It reports false only
-// when the connection itself was failed (protocol violation).
+// admit runs admission control for the frame that opens a logical message
+// — a DATA frame, or a message's first CHUNK frame; the policy is the same,
+// one flow-control credit per logical message. A chunked message
+// additionally registers its inbound chunk queue, so the read loop can route
+// the rest of the message while a worker decodes it incrementally. It
+// reports false only when the connection itself was failed (protocol
+// violation).
 func (sc *srvConn) admit(f frame) bool {
 	sc.mu.Lock()
 	if sc.failed != nil {
@@ -587,68 +544,18 @@ func (sc *srvConn) admit(f frame) bool {
 	hop := sc.obs.StartHop(obs.RoleServer)
 	sp := sc.obs.SpanWith(hop)
 	ctx, cancel := context.WithCancel(sc.sctx)
-	j := job{sc: sc, stream: f.stream, payload: f.payload, ct: f.ct, ctx: ctx, cancel: cancel, sp: sp, hop: hop}
+	j := job{sc: sc, stream: f.stream, ct: f.ct, ctx: ctx, cancel: cancel, sp: sp, hop: hop}
+	var st *cstream
+	if f.typ == fChunk {
+		st = newCstream()
+		j.src = &srvChunkSource{sc: sc, stream: f.stream, st: st}
+	} else {
+		j.payload = f.payload
+	}
 	select {
 	case sc.jobs <- j:
 		sc.live[f.stream] = cancel
-		sc.inflight++
-		sc.obs.Inc(obs.MuxStreamsOpened)
-		sc.obs.GaugeAdd(obs.MuxStreams, 1)
-		sc.obs.GaugeObserve(obs.MuxStreamsPerConn, sc.inflight)
-		sc.mu.Unlock()
-		return true
-	default:
-	}
-	// Queue full: shed. The stream completes immediately — payload
-	// released, RST(overload) queued, credit returned — so a loaded server
-	// answers "no" in one round trip instead of timing callers out.
-	sc.mu.Unlock()
-	cancel()
-	f.payload.Release()
-	sc.obs.Inc(obs.MuxSheds)
-	sc.obs.Event(obs.EvOverloadShed, fmt.Sprintf("stream %d", f.stream))
-	if err := sc.enqueue(swrite{typ: fRst, stream: f.stream, code: RstOverload, detail: "dispatch queue full"}); err != nil {
-		return false
-	}
-	sc.credDue.Add(1)
-	sc.kickWriter()
-	return true
-}
-
-// admitChunk runs admission control for a logical message's first CHUNK
-// frame. The policy is identical to admit — one flow-control credit per
-// logical message — plus registration of the stream's inbound chunk queue,
-// so the read loop can route the rest of the message while a worker decodes
-// it incrementally.
-func (sc *srvConn) admitChunk(f frame) bool {
-	sc.mu.Lock()
-	if sc.failed != nil {
-		sc.mu.Unlock()
-		f.payload.Release()
-		return false
-	}
-	if _, dup := sc.live[f.stream]; dup {
-		sc.mu.Unlock()
-		f.payload.Release()
-		sc.fail(fmt.Errorf("duplicate stream ID %d", f.stream))
-		return false
-	}
-	if sc.inflight >= int64(sc.cfg.StreamCredit) {
-		sc.mu.Unlock()
-		f.payload.Release()
-		sc.fail(fmt.Errorf("stream %d exceeds flow-control window %d", f.stream, sc.cfg.StreamCredit))
-		return false
-	}
-	hop := sc.obs.StartHop(obs.RoleServer)
-	sp := sc.obs.SpanWith(hop)
-	ctx, cancel := context.WithCancel(sc.sctx)
-	st := newCstream()
-	src := &srvChunkSource{sc: sc, stream: f.stream, st: st}
-	j := job{sc: sc, stream: f.stream, src: src, ct: f.ct, ctx: ctx, cancel: cancel, sp: sp, hop: hop}
-	select {
-	case sc.jobs <- j:
-		sc.live[f.stream] = cancel
-		if !f.last {
+		if st != nil && !f.last {
 			sc.chunkRx[f.stream] = st
 		}
 		sc.inflight++
@@ -656,18 +563,23 @@ func (sc *srvConn) admitChunk(f frame) bool {
 		sc.obs.GaugeAdd(obs.MuxStreams, 1)
 		sc.obs.GaugeObserve(obs.MuxStreamsPerConn, sc.inflight)
 		sc.mu.Unlock()
-		st.push(chunkMsg{payload: f.payload, ct: f.ct, last: f.last}, 0)
+		if st != nil {
+			st.push(chunkMsg{payload: f.payload, ct: f.ct, last: f.last}, 0)
+		}
 		return true
 	default:
 	}
-	// Queue full: shed, exactly as for a DATA frame. The message's remaining
-	// chunks find no chunkRx entry and drain silently on arrival.
+	// Queue full: shed. The stream completes immediately — payload
+	// released, RST(overload) queued, credit returned — so a loaded server
+	// answers "no" in one round trip instead of timing callers out. A shed
+	// chunked message's remaining chunks find no chunkRx entry and drain
+	// silently on arrival.
 	sc.mu.Unlock()
 	cancel()
 	f.payload.Release()
 	sc.obs.Inc(obs.MuxSheds)
 	sc.obs.Event(obs.EvOverloadShed, fmt.Sprintf("stream %d", f.stream))
-	if err := sc.enqueue(swrite{typ: fRst, stream: f.stream, code: RstOverload, detail: "dispatch queue full"}); err != nil {
+	if err := sc.enqueue(qframe{typ: fRst, stream: f.stream, code: RstOverload, detail: "dispatch queue full"}); err != nil {
 		return false
 	}
 	sc.credDue.Add(1)
@@ -715,11 +627,11 @@ func (sc *srvConn) writeLoop() {
 	for {
 		select {
 		case w := <-sc.writeq:
-			sc.writeOne(bw, w)
+			w.write(bw, sc.obs, sc.chunkSlots)
 			for more := true; more; {
 				select {
 				case w := <-sc.writeq:
-					sc.writeOne(bw, w)
+					w.write(bw, sc.obs, sc.chunkSlots)
 				default:
 					more = false
 				}
@@ -735,25 +647,5 @@ func (sc *srvConn) writeLoop() {
 			sc.fail(err)
 			return
 		}
-	}
-}
-
-func (sc *srvConn) writeOne(bw *bufio.Writer, w swrite) {
-	switch w.typ {
-	case fData:
-		writeData(bw, w.stream, w.payload.Bytes(), w.ct)
-		sc.obs.Inc(obs.MessagesSent)
-		sc.obs.Add(obs.BytesSent, uint64(w.payload.Len()))
-		w.payload.Release()
-	case fChunk:
-		writeChunk(bw, w.stream, w.payload.Bytes(), w.ct, w.first, w.last)
-		sc.obs.Add(obs.BytesSent, uint64(w.payload.Len()))
-		if w.last {
-			sc.obs.Inc(obs.MessagesSent)
-		}
-		w.payload.Release()
-		sc.putChunkSlot()
-	case fRst:
-		writeRst(bw, w.stream, w.code, w.detail)
 	}
 }

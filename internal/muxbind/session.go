@@ -34,20 +34,6 @@ type result struct {
 	err     error
 }
 
-// wreq is one frame queued for the session's writer goroutine. DATA frames
-// carry a retained payload the writer releases after copying it into the
-// connection's buffer.
-type wreq struct {
-	typ     byte
-	stream  uint64
-	payload *core.Payload
-	ct      string
-	code    uint64
-	detail  string
-	first   bool // CHUNK
-	last    bool // CHUNK
-}
-
 // Session is one multiplexed connection: a reader goroutine demultiplexing
 // inbound frames to per-stream channels, a writer goroutine coalescing
 // outbound frames into batched flushes, and a credit account replenished by
@@ -61,7 +47,7 @@ type Session struct {
 	// streams are bounded by maxClientCredits — so enqueue never blocks; a
 	// full queue therefore indicates a flow-control violation and fails
 	// the session rather than wedging a caller.
-	writeq chan wreq
+	writeq chan qframe
 	// credits holds banked flow-control tokens; opening a stream consumes
 	// one, CREDIT frames replenish.
 	credits chan struct{}
@@ -87,7 +73,7 @@ func newSession(conn net.Conn, o *obs.Observer) *Session {
 	s := &Session{
 		conn:         conn,
 		obs:          o,
-		writeq:       make(chan wreq, 2*maxClientCredits+maxChunkSlots+8),
+		writeq:       make(chan qframe, 2*maxClientCredits+maxChunkSlots+8),
 		credits:      make(chan struct{}, maxClientCredits),
 		chunkSlots:   make(chan struct{}, maxChunkSlots),
 		done:         make(chan struct{}),
@@ -162,7 +148,7 @@ func (s *Session) fail(op string, err error) {
 		case w := <-s.writeq:
 			w.payload.Release()
 			if w.typ == fChunk {
-				s.putChunkSlot()
+				putSlot(s.chunkSlots)
 			}
 		default:
 			drained = true
@@ -183,15 +169,6 @@ func (s *Session) fail(op string, err error) {
 	}
 }
 
-// putChunkSlot returns one pacing slot. Non-blocking: at most maxChunkSlots
-// are ever outstanding, so the channel has room by construction.
-func (s *Session) putChunkSlot() {
-	select {
-	case s.chunkSlots <- struct{}{}:
-	default:
-	}
-}
-
 // close shuts the session down (transport closing). In-flight streams fail
 // with a classified error.
 func (s *Session) close() error {
@@ -199,29 +176,34 @@ func (s *Session) close() error {
 	return nil
 }
 
-// open registers a new stream and returns its ID and result channel. The
-// caller must already hold a credit.
-func (s *Session) open() (uint64, chan result, error) {
+// open registers a new stream under a fresh ID: a buffered exchange waits
+// for its one result on ch, a streamed one queues response chunks on c
+// (exactly one of the two is non-nil). The caller must already hold a
+// credit.
+func (s *Session) open(ch chan result, c *cstream) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
-		return 0, nil, s.failed
+		return 0, s.failed
 	}
 	id := s.nextID
 	s.nextID++
-	ch := make(chan result, 1)
-	s.streams[id] = ch
+	if c != nil {
+		s.chunkStreams[id] = c
+	} else {
+		s.streams[id] = ch
+	}
 	s.active++
 	s.obs.Inc(obs.MuxStreamsOpened)
 	s.obs.GaugeAdd(obs.MuxStreams, 1)
 	s.obs.GaugeObserve(obs.MuxStreamsPerConn, s.active)
-	return id, ch, nil
+	return id, nil
 }
 
 // enqueue hands a frame to the writer. Under mu so it cannot race fail's
 // drain: after fail wins, the error returns here and the caller keeps
 // ownership of any payload it retained.
-func (s *Session) enqueue(w wreq) error {
+func (s *Session) enqueue(w qframe) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
@@ -251,7 +233,7 @@ func (s *Session) abandon(id uint64, ch chan result) {
 		s.obs.GaugeAdd(obs.MuxStreams, -1)
 		if s.failed == nil {
 			select {
-			case s.writeq <- wreq{typ: fRst, stream: id, code: RstCancel, detail: "context cancelled"}:
+			case s.writeq <- qframe{typ: fRst, stream: id, code: RstCancel, detail: "context cancelled"}:
 			default:
 			}
 		}
@@ -356,14 +338,10 @@ func (s *Session) readLoop() {
 		}
 		switch f.typ {
 		case fData:
-			s.obs.Inc(obs.MessagesReceived)
-			s.obs.Add(obs.BytesReceived, uint64(f.payload.Len()))
+			s.obs.ChunkReceived(f.payload.Len(), true)
 			s.deliver(f.stream, result{payload: f.payload, ct: f.ct})
 		case fChunk:
-			s.obs.Add(obs.BytesReceived, uint64(f.payload.Len()))
-			if f.last {
-				s.obs.Inc(obs.MessagesReceived)
-			}
+			s.obs.ChunkReceived(f.payload.Len(), f.last)
 			s.deliverChunk(f)
 		case fRst:
 			s.obs.Inc(obs.MuxResets)
@@ -393,11 +371,11 @@ func (s *Session) writeLoop() {
 	for {
 		select {
 		case w := <-s.writeq:
-			s.writeOne(bw, w)
+			w.write(bw, s.obs, s.chunkSlots)
 			for more := true; more; {
 				select {
 				case w := <-s.writeq:
-					s.writeOne(bw, w)
+					w.write(bw, s.obs, s.chunkSlots)
 				default:
 					more = false
 				}
@@ -409,28 +387,5 @@ func (s *Session) writeLoop() {
 		case <-s.done:
 			return
 		}
-	}
-}
-
-// writeOne appends one frame to the write buffer (no flush) and settles
-// payload ownership. bufio latches errors, so the flush in writeLoop sees
-// any failure from here.
-func (s *Session) writeOne(bw *bufio.Writer, w wreq) {
-	switch w.typ {
-	case fData:
-		writeData(bw, w.stream, w.payload.Bytes(), w.ct)
-		s.obs.Inc(obs.MessagesSent)
-		s.obs.Add(obs.BytesSent, uint64(w.payload.Len()))
-		w.payload.Release()
-	case fChunk:
-		writeChunk(bw, w.stream, w.payload.Bytes(), w.ct, w.first, w.last)
-		s.obs.Add(obs.BytesSent, uint64(w.payload.Len()))
-		if w.last {
-			s.obs.Inc(obs.MessagesSent)
-		}
-		w.payload.Release()
-		s.putChunkSlot()
-	case fRst:
-		writeRst(bw, w.stream, w.code, w.detail)
 	}
 }

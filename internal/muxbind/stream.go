@@ -152,25 +152,6 @@ func (c *cstream) kill() int64 {
 	return freed
 }
 
-// openChunked registers a streamed exchange's response stream and returns
-// its ID and queue. The caller must already hold a credit.
-func (s *Session) openChunked() (uint64, *cstream, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return 0, nil, s.failed
-	}
-	id := s.nextID
-	s.nextID++
-	c := newCstream()
-	s.chunkStreams[id] = c
-	s.active++
-	s.obs.Inc(obs.MuxStreamsOpened)
-	s.obs.GaugeAdd(obs.MuxStreams, 1)
-	s.obs.GaugeObserve(obs.MuxStreamsPerConn, s.active)
-	return id, c, nil
-}
-
 // abandonChunked ends the caller's interest in a streamed exchange: the
 // stream is unregistered, its queue drained, and a best-effort RST(cancel)
 // tells the server to stop.
@@ -183,7 +164,7 @@ func (s *Session) abandonChunked(id uint64, c *cstream) {
 	}
 	if s.failed == nil {
 		select {
-		case s.writeq <- wreq{typ: fRst, stream: id, code: RstCancel, detail: "stream abandoned"}:
+		case s.writeq <- qframe{typ: fRst, stream: id, code: RstCancel, detail: "stream abandoned"}:
 		default:
 		}
 	}
@@ -218,7 +199,8 @@ func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (co
 	case <-sess.done:
 		return nil, sess.failure()
 	}
-	id, rxc, err := sess.openChunked()
+	rxc := newCstream()
+	id, err := sess.open(nil, rxc)
 	if err != nil {
 		return nil, err
 	}
@@ -245,13 +227,13 @@ func (s *muxSink) WriteChunk(p *core.Payload, last bool) error {
 		p.Release()
 		return s.sess.failure()
 	}
-	w := wreq{typ: fChunk, stream: s.id, payload: p, first: !s.started, last: last}
+	w := qframe{typ: fChunk, stream: s.id, payload: p, first: !s.started, last: last}
 	if !s.started {
 		w.ct = s.ct
 		s.started = true
 	}
 	if err := s.sess.enqueue(w); err != nil {
-		s.sess.putChunkSlot()
+		putSlot(s.sess.chunkSlots)
 		p.Release()
 		return err
 	}
@@ -421,13 +403,13 @@ func (s *srvChunkSink) WriteChunk(p *core.Payload, last bool) error {
 		return err
 	}
 	n := int64(p.Len())
-	w := swrite{typ: fChunk, stream: s.stream, payload: p, first: !s.started, last: last}
+	w := qframe{typ: fChunk, stream: s.stream, payload: p, first: !s.started, last: last}
 	if !s.started {
 		w.ct = s.ct
 		s.started = true
 	}
 	if err := s.sc.enqueue(w); err != nil {
-		s.sc.putChunkSlot()
+		putSlot(s.sc.chunkSlots)
 		return err
 	}
 	s.sc.obs.Inc(obs.StreamChunksSent)
@@ -441,7 +423,7 @@ func (s *srvChunkSink) WriteChunk(p *core.Payload, last bool) error {
 func (s *srvChunkSink) Abort() {
 	s.sc.obs.Inc(obs.MuxResets)
 	s.sc.obs.Event(obs.EvStreamReset, rstCodeName(RstInternal))
-	s.sc.enqueue(swrite{typ: fRst, stream: s.stream, code: RstInternal, detail: "response streaming failed"})
+	s.sc.enqueue(qframe{typ: fRst, stream: s.stream, code: RstInternal, detail: "response streaming failed"})
 }
 
 var _ core.StreamBinding = (*Binding)(nil)

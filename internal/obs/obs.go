@@ -490,6 +490,30 @@ func (o *Observer) Inc(c CounterID) {
 	o.counters[c].Inc()
 }
 
+// ChunkSent records n payload bytes handed to a transport (framing overhead
+// excluded) and, with last, the message they complete — a buffered message
+// is its own last chunk. No-op on a nil Observer.
+func (o *Observer) ChunkSent(n int, last bool) {
+	if o == nil {
+		return
+	}
+	o.counters[BytesSent].Add(uint64(n))
+	if last {
+		o.counters[MessagesSent].Inc()
+	}
+}
+
+// ChunkReceived is ChunkSent's receive-side counterpart.
+func (o *Observer) ChunkReceived(n int, last bool) {
+	if o == nil {
+		return
+	}
+	o.counters[BytesReceived].Add(uint64(n))
+	if last {
+		o.counters[MessagesReceived].Inc()
+	}
+}
+
 // Counter returns counter c's current value (0 on a nil Observer).
 func (o *Observer) Counter(c CounterID) uint64 {
 	if o == nil {

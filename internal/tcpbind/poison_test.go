@@ -188,7 +188,7 @@ func TestHostileLengthBoundsAllocation(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	var fr frameReader
-	payload, _, err := fr.readFrame(bufio.NewReader(bytes.NewReader(script)))
+	payload, _, err := fr.readFirst(bufio.NewReader(bytes.NewReader(script)))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		payload.Release()
@@ -215,7 +215,7 @@ func TestRejectsExtendedHeaderBeforeAllocation(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	var fr frameReader
-	payload, _, err := fr.readFrame(bufio.NewReader(bytes.NewReader(script)))
+	payload, _, err := fr.readFirst(bufio.NewReader(bytes.NewReader(script)))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		payload.Release()
@@ -237,7 +237,7 @@ func TestHostileContentTypeLengthBounded(t *testing.T) {
 		script := []byte{magic0, magic1, version}
 		script = vls.AppendUint(script, ctLen)
 		var fr frameReader
-		payload, _, err := fr.readFrame(bufio.NewReader(bytes.NewReader(script)))
+		payload, _, err := fr.readFirst(bufio.NewReader(bytes.NewReader(script)))
 		if err == nil {
 			payload.Release()
 			t.Fatalf("content-type length %d accepted", ctLen)

@@ -4,7 +4,7 @@
 // survive the stream. This is the binding behind the paper's fastest
 // scheme, SOAP over BXSA/TCP.
 //
-// Wire format per message (buffered, version 0x01):
+// Wire format of a message sent as one chunk (version 0x01):
 //
 //	magic   2 bytes  "BX"
 //	version 1 byte   0x01
@@ -13,18 +13,19 @@
 //	len     VLS      payload length
 //	payload bytes
 //
-// Chunked form (version 0x03), used by the streaming pipeline: the header
-// is the same through ct, followed by one or more sub-frames
+// A message of more than one chunk (version 0x03) has the same header
+// through ct, followed by one sub-frame per chunk
 //
 //	flags   1 byte   bit0 = last chunk, other bits reserved (must be zero)
 //	len     VLS      chunk length (may be zero)
 //	payload bytes
 //
-// ending with the first flags byte with bit0 set. Either peer may send
-// either form: a buffered receiver gathers a chunked message into one
-// payload (capped at MaxFrameSize), and a streaming receiver surfaces a
-// buffered message as a one-chunk stream, so the two interoperate in every
-// combination (the DESIGN.md fallback matrix).
+// ending with the first flags byte with bit0 set. Both sides of the binding
+// speak the chunk seam only: the sender picks the form from what it is
+// handed (first chunk also the last → 0x01), and the receiver surfaces a
+// 0x01 frame as a one-chunk stream, so a buffered exchange is the one-chunk
+// case of the same code and every combination of peers interoperates (the
+// DESIGN.md fallback matrix).
 //
 // Wire failures escape this package classified (core.TransportError /
 // core.ErrBindingPoisoned); paylint's errclass analyzer enforces that via
@@ -44,8 +45,8 @@ import (
 	"time"
 
 	"bxsoap/internal/core"
+	"bxsoap/internal/framing"
 	"bxsoap/internal/obs"
-	"bxsoap/internal/vls"
 )
 
 // Option configures a Binding or Listener at construction.
@@ -72,21 +73,18 @@ func applyOptions(opts []Option) options {
 }
 
 const (
-	magic0, magic1 = 'B', 'X'
+	magic0, magic1 = framing.Magic0, framing.Magic1
 	version        = 0x01
 	versionChunked = 0x03
 
 	// chunkLast marks a sub-frame as the message's final chunk.
 	chunkLast = 0x01
 
-	// MaxFrameSize bounds a single frame's payload; larger length prefixes
-	// are rejected before any allocation, guarding against hostile or
-	// desynchronized peers.
-	MaxFrameSize = 1 << 30
+	// MaxFrameSize bounds a single frame's payload (a buffered message or
+	// one chunk); larger length prefixes are rejected before any allocation.
+	MaxFrameSize = framing.MaxFrameSize
 
-	// maxContentTypeLen bounds the frame's content-type field, likewise
-	// checked before allocation.
-	maxContentTypeLen = 1024
+	maxContentTypeLen = framing.MaxContentTypeLen
 )
 
 // Dialer opens the underlying transport connection; netsim-shaped dialers
@@ -101,7 +99,10 @@ func NetDialer(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // Binding is the client-side TCP binding. It lazily dials on first use and
 // keeps the connection for subsequent exchanges (SOAP messages are
-// hop-by-hop on one transport channel).
+// hop-by-hop on one transport channel). The exchange is implemented once,
+// in chunk terms (SendRequestStream / ReceiveResponseStream and the sink
+// and source they return); SendRequest and ReceiveResponse are its
+// one-chunk case.
 type Binding struct {
 	addr string
 	// dial opens the transport connection; calls through it pay the full
@@ -113,20 +114,30 @@ type Binding struct {
 	// mu serializes the binding's one in-flight exchange: SOAP calls on a
 	// tcpbind channel are strictly request/response on one connection, so
 	// the frame I/O under this lock IS the critical section — there is
-	// nothing else for a contender to do but wait for the exchange.
+	// nothing else for a contender to do but wait for the exchange. The sink
+	// and source take it per chunk, so it is never held across the
+	// producer's or consumer's own work.
 	//paylint:serializes-io single in-flight exchange per binding by contract
 	mu       sync.Mutex
 	conn     net.Conn
 	br       *bufio.Reader
 	bw       *bufio.Writer
 	fr       frameReader
+	fw       frameWriter
 	poisoned bool
+
+	// sink and src are the two ends every exchange runs through; they live
+	// here so opening a message allocates nothing.
+	sink clientSink
+	src  clientSource
 }
 
 // New creates a client binding to addr using the given dialer.
 func New(dial Dialer, addr string, opts ...Option) *Binding {
 	o := applyOptions(opts)
-	return &Binding{addr: addr, dial: dial, obs: o.obs}
+	b := &Binding{addr: addr, dial: dial, obs: o.obs}
+	b.sink.b, b.src.b = b, b
+	return b
 }
 
 func (b *Binding) ensure() error {
@@ -145,8 +156,9 @@ func (b *Binding) ensure() error {
 
 // poison marks the binding dead and tears the connection down. Called (under
 // mu) after any frame-level failure: a partial write, a read deadline that
-// expired mid-frame, or a malformed frame all leave the stream position
-// unknown, so the connection must never carry another exchange.
+// expired mid-frame, a malformed frame, or a message abandoned mid-stream
+// all leave the stream position unknown, so the connection must never carry
+// another exchange.
 //
 //paylint:classifies
 func (b *Binding) poison(op string, err error) error {
@@ -167,14 +179,11 @@ func (b *Binding) Poisoned() bool {
 	return b.poisoned
 }
 
-// SendRequest implements core.Binding. A context deadline maps onto the
-// connection's write deadline. The payload is borrowed: it is fully copied
-// into the connection's write buffer before returning.
-//
-//paylint:borrows
-func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, contentType string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// openRequest (under mu) readies the connection for one request. A context
+// deadline maps onto the connection's write deadline. Nothing is written
+// yet: writeChunk picks the wire form when it sees whether the first chunk
+// is the last.
+func (b *Binding) openRequest(ctx context.Context, contentType string) error {
 	if b.poisoned {
 		return fmt.Errorf("tcpbind: %w", core.ErrBindingPoisoned)
 	}
@@ -189,21 +198,75 @@ func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, conten
 		// poisoning, the next exchange would run against it undeadlined.
 		return b.poison("set write deadline", err)
 	}
-	if err := writeFrame(b.bw, payload.Bytes(), contentType); err != nil {
-		return b.poison("write frame", err)
-	}
-	b.obs.Inc(obs.MessagesSent)
-	b.obs.Add(obs.BytesSent, uint64(payload.Len()))
+	b.fw.begin(contentType)
 	return nil
 }
 
-// ReceiveResponse implements core.Binding. A context deadline maps onto the
-// connection's read deadline. Any receive failure — including a deadline
-// expiry before or during the frame — poisons the binding: a late response
-// still in flight would desynchronize the next exchange.
+// writeChunk (under mu) frames one chunk of the open request; p stays the
+// caller's.
 //
-//paylint:returns owned
-func (b *Binding) ReceiveResponse(ctx context.Context) (*core.Payload, string, error) {
+//paylint:borrows
+func (b *Binding) writeChunk(p *core.Payload, last bool) error {
+	if b.poisoned {
+		return fmt.Errorf("tcpbind: %w", core.ErrBindingPoisoned)
+	}
+	if err := b.fw.write(b.bw, p.Bytes(), last); err != nil {
+		return b.poison("write frame", err)
+	}
+	b.obs.ChunkSent(p.Len(), last)
+	return nil
+}
+
+// SendRequestStream implements core.StreamBinding.
+func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (core.ChunkSink, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.openRequest(ctx, contentType); err != nil {
+		return nil, err
+	}
+	return &b.sink, nil
+}
+
+// SendRequest implements core.Binding: the one-chunk request. The payload
+// is borrowed: it is fully copied into the connection's write buffer before
+// returning.
+//
+//paylint:borrows
+func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, contentType string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.openRequest(ctx, contentType); err != nil {
+		return err
+	}
+	return b.writeChunk(payload, true)
+}
+
+type clientSink struct{ b *Binding }
+
+//paylint:transfers
+func (s *clientSink) WriteChunk(p *core.Payload, last bool) error {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	defer p.Release()
+	return s.b.writeChunk(p, last)
+}
+
+func (s *clientSink) Abort() {
+	b := s.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.poisoned {
+		b.poison("abort request", errors.New("stream aborted"))
+	}
+}
+
+// ReceiveResponseStream implements core.StreamBinding. It blocks for the
+// response's header and first chunk — a buffered (version 0x01) response is
+// that one chunk. A context deadline maps onto the connection's read
+// deadline. Any receive failure — including a deadline expiry before or
+// during a frame — poisons the binding: a late response still in flight
+// would desynchronize the next exchange.
+func (b *Binding) ReceiveResponseStream(ctx context.Context) (core.ChunkSource, string, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.poisoned {
@@ -223,13 +286,77 @@ func (b *Binding) ReceiveResponse(ctx context.Context) (*core.Payload, string, e
 	if err := applyDeadline(ctx, b.conn.SetReadDeadline); err != nil {
 		return nil, "", b.poison("set read deadline", err)
 	}
-	payload, ct, err := b.fr.readFrame(b.br)
+	p, ct, err := b.fr.readFirst(b.br)
 	if err != nil {
 		return nil, "", b.poison("read frame", err)
 	}
-	b.obs.Inc(obs.MessagesReceived)
-	b.obs.Add(obs.BytesReceived, uint64(payload.Len()))
-	return payload, ct, nil
+	b.obs.ChunkReceived(p.Len(), !b.fr.more)
+	b.src.first, b.src.firstLast = p, !b.fr.more
+	return &b.src, ct, nil
+}
+
+// ReceiveResponse implements core.Binding: the response as one payload the
+// caller owns — the response's only chunk itself when the server framed it
+// whole, a gathered copy (bounded by MaxFrameSize) when it streamed.
+//
+//paylint:returns owned
+func (b *Binding) ReceiveResponse(ctx context.Context) (*core.Payload, string, error) {
+	src, ct, err := b.ReceiveResponseStream(ctx)
+	if err != nil {
+		return nil, "", err
+	}
+	p, err := core.GatherChunks(src)
+	if err != nil {
+		src.Abort()
+		return nil, "", &core.TransportError{Op: "receive response", Err: err}
+	}
+	return p, ct, nil
+}
+
+// clientSource yields the response in flight: the chunk
+// ReceiveResponseStream already read (held here, the consumer's alone, so
+// taking it needs no lock), then the remaining sub-frames.
+type clientSource struct {
+	b         *Binding
+	first     *core.Payload
+	firstLast bool
+}
+
+//paylint:returns owned
+func (s *clientSource) ReadChunk() (*core.Payload, bool, error) {
+	if p := s.first; p != nil {
+		s.first = nil
+		return p, s.firstLast, nil
+	}
+	b := s.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.poisoned {
+		return nil, false, fmt.Errorf("tcpbind: %w", core.ErrBindingPoisoned)
+	}
+	if !b.fr.more {
+		return nil, false, io.EOF
+	}
+	p, err := b.fr.readNext(b.br)
+	if err != nil {
+		return nil, false, b.poison("read chunk", err)
+	}
+	b.obs.ChunkReceived(p.Len(), !b.fr.more)
+	return p, !b.fr.more, nil
+}
+
+// Abort abandons the response. Cut short mid-message it leaves the stream
+// position unknown, so the binding is poisoned; once the last chunk is off
+// the wire the connection is in sync and stays usable.
+func (s *clientSource) Abort() {
+	b := s.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s.first.Release()
+	s.first = nil
+	if b.fr.more && !b.poisoned {
+		b.poison("abort response", errors.New("stream aborted"))
+	}
 }
 
 // applyDeadline projects a context deadline onto a conn deadline setter,
@@ -253,118 +380,108 @@ func (b *Binding) Close() error {
 	return err
 }
 
+// frameWriter is one connection's send-side state, and the one place the
+// wire form is chosen: a message whose first chunk is also its last is a
+// version-0x01 frame; anything longer is a version-0x03 header followed by
+// one sub-frame per chunk. Every chunk is flushed as it is handed over —
+// holding chunks back in the write buffer would forfeit exactly the
+// first-byte latency the chunked form exists for.
+type frameWriter struct {
+	ct      string
+	chunked bool // the 0x03 header is out; sub-frames follow until last
+}
+
+// begin opens a message. Nothing is written until its first chunk.
+func (f *frameWriter) begin(contentType string) { f.ct, f.chunked = contentType, false }
+
+func (f *frameWriter) write(w *bufio.Writer, payload []byte, last bool) error {
+	if !f.chunked {
+		if last {
+			return writeFrame(w, payload, f.ct)
+		}
+		writeHeader(w, versionChunked, f.ct)
+	}
+	f.chunked = !last
+	return writeChunkFrame(w, payload, last)
+}
+
 func writeFrame(w *bufio.Writer, payload []byte, contentType string) error {
-	if err := writeHeader(w, version, contentType); err != nil {
-		return err
-	}
-	if _, err := vls.WriteUint(w, uint64(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
+	writeHeader(w, version, contentType)
+	framing.WriteBody(w, payload)
 	return w.Flush()
 }
 
-// frameReader holds one connection's receive-side reuse state: a scratch
-// buffer for the content-type field and a cache of its string form. The
-// same peer sends the same content type on every frame, so steady state
-// reads a frame with zero binding-side allocations beyond the pooled
-// payload checkout.
-type frameReader struct {
-	ctScratch [maxContentTypeLen]byte
-	lastCT    string
+// writeHeader writes the message header (either version) through ct.
+func writeHeader(w *bufio.Writer, ver byte, contentType string) {
+	w.WriteByte(magic0)
+	w.WriteByte(magic1)
+	w.WriteByte(ver)
+	framing.WriteContentType(w, contentType)
 }
 
-// readFrame reads one complete frame of either wire form, gathering a
-// chunked message into a single payload; the caller owns the returned
-// payload.
+// writeChunkFrame writes one version-0x03 sub-frame and flushes.
+func writeChunkFrame(w *bufio.Writer, payload []byte, last bool) error {
+	var flags byte
+	if last {
+		flags = chunkLast
+	}
+	w.WriteByte(flags)
+	framing.WriteBody(w, payload)
+	return w.Flush()
+}
+
+// frameReader is one connection's receive-side state: the content-type
+// cache (the same peer sends the same content type on every frame, so
+// steady state reads a frame with zero binding-side allocations beyond the
+// pooled payload checkout) and whether the message being read has
+// sub-frames still to come.
+type frameReader struct {
+	ct   framing.ContentType
+	more bool
+}
+
+// readFirst reads a message's header and first chunk: the whole body of a
+// version-0x01 frame, or the first sub-frame of a version-0x03 message
+// (f.more then reports whether others follow). The caller owns the payload.
 //
 //paylint:returns owned
-func (f *frameReader) readFrame(r *bufio.Reader) (*core.Payload, string, error) {
-	ver, ct, err := f.readHeader(r)
+func (f *frameReader) readFirst(r *bufio.Reader) (*core.Payload, string, error) {
+	var hdr [3]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, "", err
+	}
+	if hdr[0] != magic0 || hdr[1] != magic1 {
+		return nil, "", fmt.Errorf("tcpbind: bad frame magic %x", hdr[:2])
+	}
+	if hdr[2] != version && hdr[2] != versionChunked {
+		return nil, "", fmt.Errorf("tcpbind: unsupported frame version %d", hdr[2])
+	}
+	ct, err := f.ct.Read(r)
 	if err != nil {
 		return nil, "", err
 	}
-	if ver == version {
-		payload, err := readBuffered(r)
-		return payload, ct, err
+	if hdr[2] == version {
+		f.more = false
+		p, err := framing.ReadBody(r)
+		return p, ct, err
 	}
-	// Chunked message, buffered receiver: gather, capped at the same bound
-	// a buffered frame honors.
-	payload := core.NewPayload(0)
-	for {
-		c, last, err := readChunkFrame(r)
-		if err != nil {
-			payload.Release()
-			return nil, "", err
-		}
-		if payload.Len()+c.Len() > MaxFrameSize {
-			c.Release()
-			payload.Release()
-			return nil, "", fmt.Errorf("tcpbind: chunked message exceeds %d bytes", MaxFrameSize)
-		}
-		payload.Write(c.Bytes())
-		c.Release()
-		if last {
-			return payload, ct, nil
-		}
-	}
+	f.more = true
+	p, err := f.readNext(r)
+	return p, ct, err
 }
 
-// readHeader reads the message header through the content type and returns
-// the wire version (buffered or chunked).
-func (f *frameReader) readHeader(r *bufio.Reader) (byte, string, error) {
-	var hdr [3]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, "", err
-	}
-	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return 0, "", fmt.Errorf("tcpbind: bad frame magic %x", hdr[:2])
-	}
-	if hdr[2] != version && hdr[2] != versionChunked {
-		return 0, "", fmt.Errorf("tcpbind: unsupported frame version %d", hdr[2])
-	}
-	ctLen, err := vls.ReadUint(r)
-	if err != nil {
-		return 0, "", err
-	}
-	// Both length prefixes are validated BEFORE any buffer is sized from
-	// them; a hostile prefix can never trigger a large make().
-	if ctLen > maxContentTypeLen {
-		return 0, "", fmt.Errorf("tcpbind: content-type length %d too large", ctLen)
-	}
-	ctBytes := f.ctScratch[:ctLen]
-	if _, err := io.ReadFull(r, ctBytes); err != nil {
-		return 0, "", err
-	}
-	ct := f.lastCT
-	if string(ctBytes) != ct {
-		ct = string(ctBytes)
-		f.lastCT = ct
-	}
-	return hdr[2], ct, nil
-}
-
-// readBuffered reads a version-0x01 frame body.
+// readNext reads the next sub-frame of the version-0x03 message in
+// progress.
 //
 //paylint:returns owned
-func readBuffered(r *bufio.Reader) (*core.Payload, error) {
-	n, err := vls.ReadUint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("tcpbind: frame length %d exceeds limit", n)
-	}
-	// ReadPayload grows chunk-by-chunk as bytes arrive, bounding what a
-	// lying-but-in-range length can allocate ahead of real data.
-	return core.ReadPayload(r, int64(n), MaxFrameSize)
+func (f *frameReader) readNext(r *bufio.Reader) (*core.Payload, error) {
+	p, last, err := readChunkFrame(r)
+	f.more = err == nil && !last
+	return p, err
 }
 
-// readChunkFrame reads one version-0x03 sub-frame. The same pre-allocation
-// bound applies per chunk: the declared length is validated first and the
-// payload grows as bytes actually arrive.
+// readChunkFrame reads one version-0x03 sub-frame. Reserved flag bits are
+// rejected at the flags byte, before the length is looked at.
 //
 //paylint:returns owned
 func readChunkFrame(r *bufio.Reader) (*core.Payload, bool, error) {
@@ -375,49 +492,8 @@ func readChunkFrame(r *bufio.Reader) (*core.Payload, bool, error) {
 	if flags&^byte(chunkLast) != 0 {
 		return nil, false, fmt.Errorf("tcpbind: reserved chunk flag bits %#x set", flags)
 	}
-	n, err := vls.ReadUint(r)
-	if err != nil {
-		return nil, false, err
-	}
-	if n > MaxFrameSize {
-		return nil, false, fmt.Errorf("tcpbind: chunk length %d exceeds limit", n)
-	}
-	payload, err := core.ReadPayload(r, int64(n), MaxFrameSize)
-	if err != nil {
-		return nil, false, err
-	}
-	return payload, flags&chunkLast != 0, nil
-}
-
-// writeHeader writes the message header (either version) through ct.
-func writeHeader(w *bufio.Writer, ver byte, contentType string) error {
-	w.WriteByte(magic0)
-	w.WriteByte(magic1)
-	w.WriteByte(ver)
-	if _, err := vls.WriteUint(w, uint64(len(contentType))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(contentType)
-	return err
-}
-
-// writeChunkFrame writes one sub-frame and flushes — each chunk should hit
-// the wire as soon as the producer hands it over; holding chunks back in
-// the write buffer would forfeit exactly the first-byte latency the
-// chunked form exists for.
-func writeChunkFrame(w *bufio.Writer, payload []byte, last bool) error {
-	var flags byte
-	if last {
-		flags = chunkLast
-	}
-	w.WriteByte(flags)
-	if _, err := vls.WriteUint(w, uint64(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+	p, err := framing.ReadBody(r)
+	return p, flags&chunkLast != 0, err
 }
 
 // Listener is the server-side TCP binding.
@@ -449,12 +525,14 @@ func (s *Listener) Accept() (core.Channel, error) {
 	if err != nil {
 		return nil, &core.TransportError{Op: "accept", Err: err}
 	}
-	return &channel{
+	ch := &channel{
 		conn: c,
 		br:   bufio.NewReaderSize(c, 64<<10),
 		bw:   bufio.NewWriterSize(c, 64<<10),
 		obs:  s.obs,
-	}, nil
+	}
+	ch.src.c, ch.sink.c = ch, ch
+	return ch, nil
 }
 
 // Addr implements core.ServerBinding.
@@ -463,29 +541,32 @@ func (s *Listener) Addr() net.Addr { return s.l.Addr() }
 // Close implements core.ServerBinding.
 func (s *Listener) Close() error { return s.l.Close() }
 
-// channel serves the request/response sequence of one TCP connection.
+// channel serves the request/response sequence of one TCP connection. Its
+// source and sink are fields, so an exchange allocates nothing here.
 type channel struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	fr   frameReader
+	fw   frameWriter
 	obs  *obs.Observer
-	// rxDead marks the receive side desynchronized (a chunked request was
-	// abandoned mid-stream). The send side still works — the server can
+	// rxDead marks the receive side desynchronized (a request was abandoned
+	// or failed mid-message). The send side still works — the server can
 	// deliver a fault for the failed request — but the next receive ends
 	// the channel as if the peer disconnected.
 	rxDead bool
+	src    srvSource
+	sink   srvSink
 }
 
-// ReceiveRequest implements core.Channel. Ownership of the returned payload
-// transfers to the caller.
-//
-//paylint:returns owned
-func (c *channel) ReceiveRequest(_ context.Context) (*core.Payload, string, error) {
+// ReceiveRequest implements core.Channel: it blocks for the next request's
+// header and first chunk — a buffered (version 0x01) request is that one
+// chunk.
+func (c *channel) ReceiveRequest(_ context.Context) (core.ChunkSource, string, error) {
 	if c.rxDead {
 		return nil, "", io.EOF
 	}
-	payload, ct, err := c.fr.readFrame(c.br)
+	p, ct, err := c.fr.readFirst(c.br)
 	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			// A disconnect between (or mid-) frames ends the channel; the
@@ -494,26 +575,77 @@ func (c *channel) ReceiveRequest(_ context.Context) (*core.Payload, string, erro
 		}
 		return nil, "", &core.TransportError{Op: "receive request", Err: err}
 	}
-	c.obs.Inc(obs.MessagesReceived)
-	c.obs.Add(obs.BytesReceived, uint64(payload.Len()))
-	return payload, ct, nil
+	c.obs.ChunkReceived(p.Len(), !c.fr.more)
+	c.src.first = p
+	return &c.src, ct, nil
 }
 
-// SendResponse implements core.Channel. It takes ownership of payload and
-// releases it once the frame is written, whether or not the write succeeds.
-//
-//paylint:transfers
-func (c *channel) SendResponse(payload *core.Payload, contentType string) error {
-	n := payload.Len()
-	err := writeFrame(c.bw, payload.Bytes(), contentType)
-	payload.Release()
+// srvSource yields the request in flight: the chunk ReceiveRequest already
+// read, then the remaining sub-frames.
+type srvSource struct {
+	c     *channel
+	first *core.Payload
+}
+
+//paylint:returns owned
+func (s *srvSource) ReadChunk() (*core.Payload, bool, error) {
+	c := s.c
+	if p := s.first; p != nil {
+		s.first = nil
+		return p, !c.fr.more, nil
+	}
+	if c.rxDead || !c.fr.more {
+		return nil, false, io.EOF
+	}
+	p, err := c.fr.readNext(c.br)
 	if err != nil {
+		c.rxDead = true
+		return nil, false, &core.TransportError{Op: "receive chunk", Err: err}
+	}
+	c.obs.ChunkReceived(p.Len(), !c.fr.more)
+	return p, !c.fr.more, nil
+}
+
+// Abort abandons the request. Cut short mid-message it marks the receive
+// side desynchronized without closing the connection: the server still
+// sends one fault for the failed request, and the channel ends at the next
+// receive. Once the last chunk is off the wire the stream is in sync, so a
+// request that merely failed to decode leaves the connection usable.
+func (s *srvSource) Abort() {
+	s.first.Release()
+	s.first = nil
+	if s.c.fr.more {
+		s.c.rxDead = true
+	}
+}
+
+// SendResponse implements core.Channel.
+func (c *channel) SendResponse(contentType string) (core.ChunkSink, error) {
+	c.fw.begin(contentType)
+	return &c.sink, nil
+}
+
+type srvSink struct{ c *channel }
+
+//paylint:transfers
+func (s *srvSink) WriteChunk(p *core.Payload, last bool) error {
+	c := s.c
+	defer p.Release()
+	if err := c.fw.write(c.bw, p.Bytes(), last); err != nil {
 		return &core.TransportError{Op: "send response", Err: err}
 	}
-	c.obs.Inc(obs.MessagesSent)
-	c.obs.Add(obs.BytesSent, uint64(n))
+	c.obs.ChunkSent(p.Len(), last)
 	return nil
+}
+
+// Abort tears the connection down: a response that cannot be produced or
+// completed cannot be followed by anything parseable.
+func (s *srvSink) Abort() {
+	s.c.rxDead = true
+	s.c.conn.Close()
 }
 
 // Close implements core.Channel.
 func (c *channel) Close() error { return c.conn.Close() }
+
+var _ core.StreamBinding = (*Binding)(nil)

@@ -12,6 +12,26 @@ import (
 	"bxsoap/internal/core"
 )
 
+// receive gathers the channel's next request into one payload.
+func receive(ch core.Channel) (*core.Payload, string, error) {
+	src, ct, err := ch.ReceiveRequest(context.Background())
+	if err != nil {
+		return nil, "", err
+	}
+	p, err := core.GatherChunks(src)
+	return p, ct, err
+}
+
+// respond answers with p as a one-chunk response.
+func respond(ch core.Channel, p *core.Payload, ct string) error {
+	sink, err := ch.SendResponse(ct)
+	if err != nil {
+		p.Release()
+		return err
+	}
+	return sink.WriteChunk(p, true)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
@@ -20,7 +40,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fr frameReader
-	got, ct, err := fr.readFrame(bufio.NewReader(&buf))
+	got, ct, err := fr.readFirst(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +57,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fr frameReader
-	got, ct, err := fr.readFrame(bufio.NewReader(&buf))
+	got, ct, err := fr.readFirst(bufio.NewReader(&buf))
 	if err != nil || got.Len() != 0 || ct != "application/x-bxsa" {
 		t.Errorf("empty frame = %v/%q/%v", got, ct, err)
 	}
@@ -47,7 +67,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 func TestFrameRejectsBadMagic(t *testing.T) {
 	var fr frameReader
 	r := bufio.NewReader(bytes.NewReader([]byte("XXx")))
-	if _, _, err := fr.readFrame(r); err == nil {
+	if _, _, err := fr.readFirst(r); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
@@ -55,7 +75,7 @@ func TestFrameRejectsBadMagic(t *testing.T) {
 func TestFrameRejectsBadVersion(t *testing.T) {
 	var fr frameReader
 	r := bufio.NewReader(bytes.NewReader([]byte{'B', 'X', 0x7f, 0, 0}))
-	if _, _, err := fr.readFrame(r); err == nil {
+	if _, _, err := fr.readFirst(r); err == nil {
 		t.Error("bad version accepted")
 	}
 }
@@ -68,7 +88,7 @@ func TestFrameRejectsHugeContentType(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fr frameReader
-	if _, _, err := fr.readFrame(bufio.NewReader(&buf)); err == nil {
+	if _, _, err := fr.readFirst(bufio.NewReader(&buf)); err == nil {
 		t.Error("oversized content type accepted")
 	}
 }
@@ -81,7 +101,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	}
 	var fr frameReader
 	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, _, err := fr.readFrame(bufio.NewReader(bytes.NewReader(trunc))); err == nil {
+	if _, _, err := fr.readFirst(bufio.NewReader(bytes.NewReader(trunc))); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
@@ -114,7 +134,7 @@ func TestChannelEOFOnPeerClose(t *testing.T) {
 			return
 		}
 		defer ch.Close()
-		_, _, err = ch.ReceiveRequest(context.Background())
+		_, _, err = receive(ch)
 		done <- err
 	}()
 	c, err := net.Dial("tcp", l.Addr().String())
@@ -150,13 +170,13 @@ func TestClientServerExchangeDirect(t *testing.T) {
 		}
 		defer ch.Close()
 		for {
-			payload, ct, err := ch.ReceiveRequest(context.Background())
+			payload, ct, err := receive(ch)
 			if err != nil {
 				return
 			}
 			resp := core.NewPayloadFrom(append([]byte("echo:"), payload.Bytes()...))
 			payload.Release()
-			if err := ch.SendResponse(resp, ct); err != nil {
+			if err := respond(ch, resp, ct); err != nil {
 				return
 			}
 		}
@@ -191,7 +211,7 @@ func TestContextDeadlineHonored(t *testing.T) {
 		}
 		defer ch.Close()
 		// Receive the request but never respond.
-		if payload, _, err := ch.ReceiveRequest(context.Background()); err == nil {
+		if payload, _, err := receive(ch); err == nil {
 			payload.Release()
 		}
 		select {}

@@ -65,84 +65,56 @@ func (s signingSink) Abort() { s.sink.Abort() }
 // DecodeChunks implements core.StreamEncoding. The first four bytes pick
 // the frame form: BXS2 verifies the rolling HMAC as inner bytes stream
 // through to the inner decoder; BXS1 (a buffered peer's message arriving
-// through a chunked transport) gathers and takes the buffered verify path.
+// through a chunked transport) gathers — bounded by core.GatherChunks — and
+// takes the buffered verify path.
 func (s Secured[E]) DecodeChunks(src core.ChunkSource) (*bxdm.Document, error) {
-	// The magic may span chunk boundaries; accumulate chunks until it is
-	// complete, remembering them for replay.
-	var pre []heldChunk
-	var hdr [4]byte
-	h := 0
-	sawLast := false
-	for h < len(hdr) && !sawLast {
-		c, last, err := src.ReadChunk()
-		if err != nil {
-			releaseHeld(pre)
-			return nil, err
-		}
-		pre = append(pre, heldChunk{c, last})
-		k := copy(hdr[h:], c.Bytes())
-		h += k
-		sawLast = last
-	}
-	if h < len(hdr) {
-		releaseHeld(pre)
-		return nil, fmt.Errorf("wssec: message too short for authentication frame")
-	}
-	switch {
-	case bytes.Equal(hdr[:], magic2):
-		vs := &verifySource{
-			src:     src,
-			pre:     pre,
-			mac:     hmac.New(sha256.New, s.Key),
-			skip:    len(magic2),
-			srcDone: sawLast,
-		}
-		doc, err := core.DecodeChunksOf(s.Inner, vs)
-		if err != nil {
-			vs.drop()
-			return nil, err
-		}
-		// The inner decoder consumed its full byte stream (its trailing
-		// check reads to EOF), so the tag hold-back is complete; nothing
-		// is released to the caller before this comparison passes.
-		if err := vs.verify(); err != nil {
-			return nil, err
-		}
-		return doc, nil
-	case bytes.Equal(hdr[:], magic):
-		p := core.NewPayload(0)
-		for _, hc := range pre {
-			p.Write(hc.p.Bytes())
-			hc.p.Release()
-		}
-		for !sawLast {
-			c, last, err := src.ReadChunk()
-			if err != nil {
-				p.Release()
-				return nil, err
+	head, last, err := src.ReadChunk()
+	if err == nil && !last && head.Len() < len(magic) {
+		// The magic spans chunk boundaries: fold the short chunks into a
+		// head of our own until it is whole.
+		short := head
+		head = core.NewPayload(len(magic))
+		head.Write(short.Bytes())
+		short.Release()
+		for err == nil && !last && head.Len() < len(magic) {
+			var c *core.Payload
+			if c, last, err = src.ReadChunk(); err == nil {
+				head.Write(c.Bytes())
+				c.Release()
 			}
-			p.Write(c.Bytes())
-			c.Release()
-			sawLast = last
+		}
+	}
+	if err != nil {
+		head.Release()
+		return nil, err
+	}
+	if !bytes.HasPrefix(head.Bytes(), magic2) {
+		// BXS1, or no frame at all: Decode tells them apart.
+		p, err := core.GatherChunks(core.ResumeSource(head, last, src))
+		if err != nil {
+			return nil, err
 		}
 		doc, err := s.Decode(p.Bytes())
 		p.Release()
 		return doc, err
-	default:
-		releaseHeld(pre)
-		return nil, fmt.Errorf("wssec: missing authentication frame")
 	}
-}
-
-type heldChunk struct {
-	p    *core.Payload
-	last bool
-}
-
-func releaseHeld(hs []heldChunk) {
-	for _, h := range hs {
-		h.p.Release()
+	vs := &verifySource{
+		src:  core.ResumeSource(head, last, src),
+		mac:  hmac.New(sha256.New, s.Key),
+		skip: len(magic2),
 	}
+	doc, err := core.DecodeChunksOf(s.Inner, vs)
+	if err != nil {
+		vs.src.Abort()
+		return nil, err
+	}
+	// The inner decoder consumed its full byte stream (its trailing check
+	// reads to EOF), so the tag hold-back is complete; nothing is released
+	// to the caller before this comparison passes.
+	if err := vs.verify(); err != nil {
+		return nil, err
+	}
+	return doc, nil
 }
 
 // verifySource sits between the transport and the inner decoder: it strips
@@ -151,14 +123,12 @@ func releaseHeld(hs []heldChunk) {
 // ending where the inner encoding expects EOF. Boundary shifting means one
 // copy per chunk on receive; the send side stays zero-copy.
 type verifySource struct {
-	src     core.ChunkSource
-	pre     []heldChunk // replayed before src is consulted
-	mac     hash.Hash
-	skip    int // magic bytes still to strip
-	tail    [sha256.Size]byte
-	tlen    int
-	srcDone bool // upstream delivered its last chunk
-	done    bool // we emitted our last chunk
+	src  core.ChunkSource
+	mac  hash.Hash
+	skip int // magic bytes still to strip
+	tail [sha256.Size]byte
+	tlen int
+	done bool // we emitted our last chunk
 }
 
 //paylint:returns owned
@@ -166,21 +136,9 @@ func (v *verifySource) ReadChunk() (*core.Payload, bool, error) {
 	if v.done {
 		return nil, false, fmt.Errorf("wssec: read past end of authenticated stream")
 	}
-	var c *core.Payload
-	last := false
-	if len(v.pre) > 0 {
-		c, last = v.pre[0].p, v.pre[0].last
-		v.pre = v.pre[1:]
-	} else {
-		if v.srcDone {
-			// Upstream ended while replaying pre; can't happen past here.
-			return nil, false, fmt.Errorf("wssec: truncated authenticated stream")
-		}
-		var err error
-		c, last, err = v.src.ReadChunk()
-		if err != nil {
-			return nil, false, err
-		}
+	c, last, err := v.src.ReadChunk()
+	if err != nil {
+		return nil, false, err
 	}
 	b := c.Bytes()
 	if v.skip > 0 {
@@ -216,13 +174,6 @@ func (v *verifySource) ReadChunk() (*core.Payload, bool, error) {
 }
 
 func (v *verifySource) Abort() { v.src.Abort() }
-
-// drop releases replay chunks still held after an inner decode error; the
-// caller aborts the transport source itself.
-func (v *verifySource) drop() {
-	releaseHeld(v.pre)
-	v.pre = nil
-}
 
 // verify compares the held-back tag with the rolling HMAC of everything
 // forwarded. Only valid once the stream fully drained (v.done).

@@ -75,16 +75,23 @@ func (s Secured[E]) AppendEncode(dst []byte, doc *bxdm.Document) ([]byte, error)
 	return out, nil
 }
 
-// Decode implements core.Encoding: verify, strip, delegate.
+// Decode implements core.Encoding: verify, strip, delegate. Either frame
+// form is accepted — the tag leads the payload in BXS1 and trails it in the
+// streamed BXS2 (stream.go) — so a message that reaches the codec whole is
+// verified the same way whichever encoder produced it.
 func (s Secured[E]) Decode(data []byte) (*bxdm.Document, error) {
 	if len(data) < len(magic)+sha256.Size {
 		return nil, fmt.Errorf("wssec: message too short for authentication frame")
 	}
-	if !bytes.Equal(data[:len(magic)], magic) {
+	var tag, payload []byte
+	switch body := data[len(magic):]; {
+	case bytes.Equal(data[:len(magic)], magic):
+		tag, payload = body[:sha256.Size], body[sha256.Size:]
+	case bytes.Equal(data[:len(magic)], magic2):
+		payload, tag = body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
+	default:
 		return nil, fmt.Errorf("wssec: missing authentication frame")
 	}
-	tag := data[len(magic) : len(magic)+sha256.Size]
-	payload := data[len(magic)+sha256.Size:]
 	mac := hmac.New(sha256.New, s.Key)
 	mac.Write(payload)
 	if !hmac.Equal(tag, mac.Sum(nil)) {
