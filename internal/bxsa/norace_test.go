@@ -1,0 +1,5 @@
+//go:build !race
+
+package bxsa
+
+const raceEnabled = false
