@@ -199,48 +199,10 @@ func (a Array[T]) CloneData() ArrayData {
 	return Array[T]{Items: items}
 }
 
-// ReadArrayXBS reads n packed items of the given type code from an XBS
+// ReadArrayXBSGrow reads n packed items of the given type code from an XBS
 // stream and returns them as type-erased ArrayData (the decode counterpart
-// of ArrayData.WriteXBS).
-func ReadArrayXBS(r *xbs.Reader, code TypeCode, n int) (ArrayData, error) {
-	switch code {
-	case TInt8:
-		items, err := xbs.ReadArray[int8](r, n)
-		return Array[int8]{Items: items}, err
-	case TInt16:
-		items, err := xbs.ReadArray[int16](r, n)
-		return Array[int16]{Items: items}, err
-	case TInt32:
-		items, err := xbs.ReadArray[int32](r, n)
-		return Array[int32]{Items: items}, err
-	case TInt64:
-		items, err := xbs.ReadArray[int64](r, n)
-		return Array[int64]{Items: items}, err
-	case TUint8:
-		items, err := xbs.ReadArray[uint8](r, n)
-		return Array[uint8]{Items: items}, err
-	case TUint16:
-		items, err := xbs.ReadArray[uint16](r, n)
-		return Array[uint16]{Items: items}, err
-	case TUint32:
-		items, err := xbs.ReadArray[uint32](r, n)
-		return Array[uint32]{Items: items}, err
-	case TUint64:
-		items, err := xbs.ReadArray[uint64](r, n)
-		return Array[uint64]{Items: items}, err
-	case TFloat32:
-		items, err := xbs.ReadArray[float32](r, n)
-		return Array[float32]{Items: items}, err
-	case TFloat64:
-		items, err := xbs.ReadArray[float64](r, n)
-		return Array[float64]{Items: items}, err
-	default:
-		return nil, fmt.Errorf("bxdm: type code %v is not an array item type", code)
-	}
-}
-
-// ReadArrayXBSGrow is ReadArrayXBS with grow-as-data-arrives allocation
-// (xbs.ReadArrayGrow): streaming decoders use it because their counts are
+// of ArrayData.WriteXBS). It allocates as data arrives
+// (xbs.ReadArrayGrow): stream decoders use it because their counts are
 // declared by the sender rather than bounded by a buffer already in hand,
 // so a hostile count must not become a large upfront allocation.
 func ReadArrayXBSGrow(r *xbs.Reader, code TypeCode, n int) (ArrayData, error) {
@@ -281,8 +243,8 @@ func ReadArrayXBSGrow(r *xbs.Reader, code TypeCode, n int) (ArrayData, error) {
 }
 
 // DecodePackedArray decodes n packed items of the given type code from
-// the front of buf — the in-memory counterpart of ReadArrayXBS, used by
-// templated decoders that already know where the packed data sits.
+// the front of buf — the in-memory counterpart of ReadArrayXBSGrow, used by
+// decoders that already hold the packed data.
 func DecodePackedArray(code TypeCode, buf []byte, n int, o xbs.ByteOrder) (ArrayData, error) {
 	switch code {
 	case TInt8:

@@ -41,7 +41,7 @@ func TestArrayXBSRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := xbs.NewReader(bytes.NewReader(buf.Bytes()), xbs.LittleEndian, 0)
-		back, err := ReadArrayXBS(r, d.Type(), d.Len())
+		back, err := ReadArrayXBSGrow(r, d.Type(), d.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,10 +63,10 @@ func TestArrayXBSRoundTrip(t *testing.T) {
 
 func TestReadArrayXBSInvalidCode(t *testing.T) {
 	r := xbs.NewReader(bytes.NewReader(nil), xbs.LittleEndian, 0)
-	if _, err := ReadArrayXBS(r, TString, 0); err == nil {
+	if _, err := ReadArrayXBSGrow(r, TString, 0); err == nil {
 		t.Error("TString accepted as array item type")
 	}
-	if _, err := ReadArrayXBS(r, TBool, 0); err == nil {
+	if _, err := ReadArrayXBSGrow(r, TBool, 0); err == nil {
 		t.Error("TBool accepted as array item type")
 	}
 }

@@ -11,12 +11,12 @@ import (
 // Scanner provides the "accelerated sequential access" of §4.1: the Size
 // field in every frame lets it hop from frame to frame without parsing frame
 // contents. A scanner walks the frames at one nesting level; Descend enters
-// a container frame's children.
+// a container frame's children. Frame headers, the headers of containers
+// and in-place decodes are all read by the decoder's walker.
 type Scanner struct {
-	data []byte
-	pos  int
-	end  int
-	err  error
+	src sliceSource // the whole buffer; src.off is the next frame's offset
+	end int
+	err error
 
 	// scopes holds the namespace declaration tables of the ancestor
 	// element frames, outermost first, so a frame decoded in place can
@@ -33,36 +33,25 @@ type Scanner struct {
 
 // NewScanner scans the top-level frames of a BXSA byte stream.
 func NewScanner(data []byte) *Scanner {
-	return &Scanner{data: data, end: len(data)}
+	return &Scanner{src: sliceSource{data: data}, end: len(data)}
 }
 
 // Next advances to the next frame at this level, returning false at the end
 // of the level or on error (check Err).
 func (s *Scanner) Next() bool {
-	if s.err != nil || s.pos >= s.end {
+	if s.err != nil || s.src.off >= s.end {
 		return false
 	}
-	if s.pos >= len(s.data) {
-		s.err = fmt.Errorf("bxsa: scan past end of input")
-		return false
-	}
-	frameStart := s.pos
-	order, ft := splitPrefix(s.data[s.pos])
-	size, n, err := vls.Uint(s.data[s.pos+1:])
+	start := s.src.off
+	w := walker{src: &s.src}
+	order, ft, end, err := w.header(s.end)
 	if err != nil {
-		s.err = fmt.Errorf("bxsa: bad frame size at %d: %w", s.pos, err)
-		return false
-	}
-	bodyStart := s.pos + 1 + n
-	bodyEnd := bodyStart + int(size)
-	if size > uint64(s.end) || bodyEnd > s.end {
-		s.err = fmt.Errorf("bxsa: frame at %d overruns input (size %d)", s.pos, size)
+		s.err = fmt.Errorf("bxsa: bad frame at %d: %w", start, err)
 		return false
 	}
 	s.frameType, s.order = ft, order
-	s.frameStart = frameStart
-	s.bodyStart, s.bodyEnd = bodyStart, bodyEnd
-	s.pos = bodyEnd // next frame starts right after this one
+	s.frameStart, s.bodyStart, s.bodyEnd = start, s.src.off, end
+	s.src.off = end // next frame starts right after this one
 	return true
 }
 
@@ -76,7 +65,7 @@ func (s *Scanner) Type() FrameType { return s.frameType }
 func (s *Scanner) Order() xbs.ByteOrder { return s.order }
 
 // Body returns the current frame's body bytes (shared, do not modify).
-func (s *Scanner) Body() []byte { return s.data[s.bodyStart:s.bodyEnd] }
+func (s *Scanner) Body() []byte { return s.src.data[s.bodyStart:s.bodyEnd] }
 
 // FrameSize returns the current frame's total size including prefix and
 // size field.
@@ -88,138 +77,32 @@ func (s *Scanner) FrameSize() int {
 // Descend returns a Scanner over the current frame's child frames. Only
 // document and component-element frames contain child frames; for a
 // document the header is the child count, for an element it is the common
-// section plus the child count (which Descend must skip without full
-// parsing — it still avoids touching child frame contents).
+// section plus the child count. Descend reads that header without touching
+// the child frames' contents.
 func (s *Scanner) Descend() (*Scanner, error) {
-	switch s.frameType {
-	case FrameDocument:
-		// Skip the child count.
-		_, n, err := vls.Uint(s.data[s.bodyStart:s.bodyEnd])
-		if err != nil {
-			return nil, fmt.Errorf("bxsa: descend: %w", err)
-		}
-		return &Scanner{data: s.data, pos: s.bodyStart + n, end: s.bodyEnd, scopes: s.scopes}, nil
-	case FrameElement:
-		off, decls, err := skipCommon(s.data, s.bodyStart, s.bodyEnd)
-		if err != nil {
-			return nil, err
-		}
-		_, n, err := vls.Uint(s.data[off:s.bodyEnd])
-		if err != nil {
-			return nil, fmt.Errorf("bxsa: descend: %w", err)
-		}
-		scopes := s.scopes
-		// Every element frame contributes a scope frame (even an empty
-		// one), matching the encoder's and decoder's NSScope behaviour.
-		scopes = append(scopes[:len(scopes):len(scopes)], decls)
-		return &Scanner{data: s.data, pos: off + n, end: s.bodyEnd, scopes: scopes}, nil
-	default:
+	if s.frameType != FrameDocument && s.frameType != FrameElement {
 		return nil, fmt.Errorf("bxsa: cannot descend into %v frame", s.frameType)
 	}
-}
-
-// skipCommon advances past the common element section (namespace table,
-// name, attributes) without building any nodes, returning the element's
-// namespace declarations (needed for in-place decoding of child frames).
-func skipCommon(data []byte, pos, end int) (int, []bxdm.NamespaceDecl, error) {
-	rd := func() (uint64, error) {
-		v, n, err := vls.Uint(data[pos:end])
-		if err != nil {
-			return 0, err
-		}
-		pos += n
-		return v, nil
-	}
-	readStr := func() (string, error) {
-		l, err := rd()
-		if err != nil {
-			return "", err
-		}
-		if l > uint64(end-pos) {
-			return "", fmt.Errorf("bxsa: string overruns frame")
-		}
-		v := string(data[pos : pos+int(l)])
-		pos += int(l)
-		return v, nil
-	}
-	skipStr := func() error {
-		_, err := readStr()
-		return err
-	}
-	skipRef := func() error {
-		d, err := rd()
-		if err != nil {
-			return err
-		}
-		if d > 0 {
-			if _, err := rd(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	skipScalar := func() error {
-		if pos >= end {
-			return fmt.Errorf("bxsa: truncated scalar")
-		}
-		code := bxdm.TypeCode(data[pos])
-		pos++
-		switch code {
-		case bxdm.TString:
-			return skipStr()
-		case bxdm.TBool:
-			pos++
-			return nil
-		default:
-			sz := code.Size()
-			if sz <= 0 {
-				return fmt.Errorf("bxsa: bad scalar type %d", code)
-			}
-			pos += sz
-			return nil
+	d := sliceDecoder(s.src.data[:s.bodyEnd], s.bodyStart, s.scopes)
+	scopes := s.scopes
+	var err error
+	if s.frameType == FrameElement {
+		var c bxdm.ElemCommon
+		c, err = d.common(s.order, s.bodyEnd)
+		// Only a non-empty table can be the target of a tokenized
+		// reference (bxdm.NSScope skips the rest), so only those are kept.
+		if err == nil && len(c.NamespaceDecls) > 0 {
+			scopes = append(scopes[:len(scopes):len(scopes)], c.NamespaceDecls)
 		}
 	}
-	n1, err := rd()
-	if err != nil {
-		return 0, nil, err
+	if err == nil {
+		_, err = d.childCount(s.bodyEnd)
 	}
-	var decls []bxdm.NamespaceDecl
-	for i := uint64(0); i < n1; i++ {
-		prefix, err := readStr()
-		if err != nil {
-			return 0, nil, err
-		}
-		uri, err := readStr()
-		if err != nil {
-			return 0, nil, err
-		}
-		decls = append(decls, bxdm.NamespaceDecl{Prefix: prefix, URI: uri})
+	off := d.slice.off
+	if err := d.release(err); err != nil {
+		return nil, err
 	}
-	if err := skipRef(); err != nil {
-		return 0, nil, err
-	}
-	if err := skipStr(); err != nil {
-		return 0, nil, err
-	}
-	n2, err := rd()
-	if err != nil {
-		return 0, nil, err
-	}
-	for i := uint64(0); i < n2; i++ {
-		if err := skipRef(); err != nil {
-			return 0, nil, err
-		}
-		if err := skipStr(); err != nil {
-			return 0, nil, err
-		}
-		if err := skipScalar(); err != nil {
-			return 0, nil, err
-		}
-	}
-	if pos > end {
-		return 0, nil, fmt.Errorf("bxsa: common section overruns frame")
-	}
-	return pos, decls, nil
+	return &Scanner{src: sliceSource{data: s.src.data, off: off}, end: s.bodyEnd, scopes: scopes}, nil
 }
 
 // CountFrames scans all frames at the top level (without parsing contents)
@@ -244,9 +127,5 @@ func (s *Scanner) Decode() (bxdm.Node, error) {
 	if s.frameStart >= s.bodyEnd {
 		return nil, fmt.Errorf("bxsa: Decode before Next")
 	}
-	d := &decoder{data: s.data[:s.bodyEnd], pos: s.frameStart}
-	for _, decls := range s.scopes {
-		d.scope.Push(decls)
-	}
-	return d.parseFrame()
+	return sliceDecoder(s.src.data[:s.bodyEnd], s.frameStart, s.scopes).decode(s.bodyEnd)
 }
