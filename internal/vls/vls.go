@@ -10,6 +10,7 @@
 package vls
 
 import (
+	"bufio"
 	"errors"
 	"io"
 )
@@ -76,11 +77,10 @@ func Uint(buf []byte) (uint64, int, error) {
 }
 
 // WriteUint writes the canonical encoding of v to w and reports the number of
-// bytes written.
-func WriteUint(w io.Writer, v uint64) (int, error) {
-	var scratch [MaxLen]byte
-	buf := AppendUint(scratch[:0], v)
-	return w.Write(buf)
+// bytes written. The value is encoded straight into w's free buffer space,
+// so writing a frame header allocates nothing.
+func WriteUint(w *bufio.Writer, v uint64) (int, error) {
+	return w.Write(AppendUint(w.AvailableBuffer(), v))
 }
 
 // ReadUint reads a VLS integer from r one byte at a time. r is typically a

@@ -90,11 +90,17 @@ func TestNonCanonical(t *testing.T) {
 func TestWriteReadUint(t *testing.T) {
 	values := []uint64{0, 1, 127, 128, 1 << 20, 1 << 40, math.MaxUint64}
 	var buf bytes.Buffer
+	// A 16-byte buffer makes some values straddle a flush, so the encoding
+	// outgrows the writer's free space and still comes out whole.
+	w := bufio.NewWriterSize(&buf, 16)
 	for _, v := range values {
-		n, err := WriteUint(&buf, v)
+		n, err := WriteUint(w, v)
 		if err != nil || n != EncodedLen(v) {
 			t.Fatalf("WriteUint(%d) = (%d,%v)", v, n, err)
 		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	r := bufio.NewReader(&buf)
 	for _, v := range values {
