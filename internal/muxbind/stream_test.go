@@ -5,10 +5,12 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"bxsoap/internal/bxdm"
 	"bxsoap/internal/core"
 	"bxsoap/internal/netsim"
+	"bxsoap/internal/obs"
 )
 
 // bigArrayEnvelope builds a request whose body is a packed int32 array
@@ -209,6 +211,62 @@ func TestMuxStreamedCancelAbandonsStream(t *testing.T) {
 	}
 	if !bxdm.Equal(resp.Body(), want) {
 		t.Fatal("echoed body differs after cancel")
+	}
+	tr.Close()
+	waitPayloadsSettled(t, baseline)
+}
+
+// TestMuxStreamedWindowShedResets: a streamed request that overruns the
+// server's receive window while every worker is busy is shed mid-message,
+// and the shed must reach the client as RST(overload) — a classified
+// ErrOverloaded well before the caller's deadline, not a silent stall.
+func TestMuxStreamedWindowShedResets(t *testing.T) {
+	baseline := core.PayloadsInUse()
+	nw := netsim.New(netsim.Unshaped)
+	o := obs.New()
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	hold := func(ctx context.Context, req *core.Envelope) (*core.Envelope, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return req, nil
+	}
+	addr, _ := startServer(t, nw, hold, Config{Workers: 1}, core.WithObserver(o))
+	tr := NewTransport(nw.Dial, addr, WithMaxSessions(1))
+	defer tr.Close()
+
+	// Occupy the only worker.
+	held := make(chan error, 1)
+	go func() {
+		_, err := core.NewEngine(core.BXSAEncoding{}, tr.NewBinding()).Call(context.Background(), sampleEnvelope())
+		held <- err
+	}()
+	<-entered
+
+	// Release the worker as soon as the streamed call has been shed, so
+	// only a missing reset can leave the caller waiting.
+	go func() {
+		for o.Counter(obs.MuxSheds) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	eng := core.NewEngine(core.BXSAEncoding{}, tr.NewBinding(), core.WithStreaming(1024))
+	req, _ := bigArrayEnvelope(400_000) // ~98 chunks against a 32-chunk window
+	_, err := eng.CallStream(ctx, req)
+	if !errors.Is(err, ErrOverloaded) || !core.IsTransportError(err) {
+		t.Fatalf("shed streamed call returned %v, want a transport error wrapping ErrOverloaded", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("held call: %v", err)
 	}
 	tr.Close()
 	waitPayloadsSettled(t, baseline)
