@@ -1,11 +1,11 @@
 package muxbind
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
-
-	"context"
 
 	"bxsoap/internal/core"
 )
@@ -19,6 +19,10 @@ import (
 // taxonomy retires the logical channel (engine + binding) on failure
 // exactly as with tcpbind, but the expensive resource — the connection —
 // is only retired when the session itself dies.
+//
+// The exchange is implemented once, in chunk terms (SendRequestStream /
+// ReceiveResponseStream and the sink and source they return);
+// SendRequest and ReceiveResponse are its one-chunk case.
 type Binding struct {
 	tr *Transport
 
@@ -28,31 +32,34 @@ type Binding struct {
 	// binding's own Close/Poisoned; the shared hot structures (Transport,
 	// Session) never block under their locks.
 	//paylint:serializes-io single in-flight exchange per binding by contract
-	mu       sync.Mutex
+	mu sync.Mutex
+	// sess and streamID name the exchange from open until its response
+	// begins; nil sess means no request is in flight.
 	sess     *Session
 	streamID uint64
-	resp     chan result
-	// rxc is the in-flight streamed exchange's response queue (see
-	// stream.go); resp and rxc are mutually exclusive.
-	rxc      *cstream
 	poisoned bool
+
+	// rx is the exchange's response queue, and sink and src are its two
+	// ends. They live here so an exchange allocates nothing of its own:
+	// a binding carries one exchange at a time, and every abnormal end
+	// poisons it, so none of the three is reused while a session can still
+	// route into it.
+	rx   cstream
+	sink muxSink
+	src  muxSource
 }
 
-// SendRequest implements core.Binding: it acquires a flow-control credit,
-// opens a stream, and queues the request frame for the session's batching
-// writer. The payload is borrowed per the Binding contract; because the
-// write happens asynchronously, it is retained here and released by the
-// writer once framed (or by the failure path), so the caller's pooled
-// request stays valid for retries either way.
-//
-//paylint:borrows
-func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, contentType string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// open (under mu) starts an exchange: it takes a session, waits for one
+// flow-control credit and registers the response queue under a fresh
+// stream ID. Blocking on the credit is the backpressure — when the
+// server's window is spent, new calls wait for completions instead of
+// piling frames onto the wire. Nothing is written yet: the sink picks the
+// wire form when it sees whether the first chunk is also the last.
+func (b *Binding) open(ctx context.Context, contentType string) error {
 	if b.poisoned {
 		return fmt.Errorf("muxbind: %w", core.ErrBindingPoisoned)
 	}
-	if b.resp != nil || b.rxc != nil {
+	if b.sess != nil {
 		return errors.New("muxbind: request already in flight")
 	}
 	if err := ctx.Err(); err != nil {
@@ -62,9 +69,6 @@ func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, conten
 	if err != nil {
 		return err
 	}
-	// One credit per stream: blocking here is the backpressure — when the
-	// server's window is spent, new calls wait for completions instead of
-	// piling frames onto the wire.
 	select {
 	case <-sess.credits:
 	case <-ctx.Done():
@@ -72,56 +76,194 @@ func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, conten
 	case <-sess.done:
 		return sess.failure()
 	}
-	resp := make(chan result, 1)
-	id, err := sess.open(resp, nil)
+	id, err := sess.open(&b.rx)
 	if err != nil {
 		return err
 	}
-	payload.Retain()
-	if err := sess.enqueue(qframe{typ: fData, stream: id, payload: payload, ct: contentType}); err != nil {
-		payload.Release()
-		return err
-	}
-	b.sess, b.streamID, b.resp = sess, id, resp
+	b.sess, b.streamID = sess, id
+	b.sink = muxSink{b: b, sess: sess, id: id, ct: contentType}
 	return nil
 }
 
-// ReceiveResponse implements core.Binding. Ownership of the returned
-// payload transfers to the caller. Cancellation abandons only this stream —
-// an RST(cancel) tells the server to stop, the shared session stays
-// healthy — but still poisons this binding, matching the taxonomy's rule
-// that an abandoned exchange never carries another call.
+// drop (under mu) abandons the exchange in flight, if any, and retires
+// the binding; the shared session stays healthy.
+func (b *Binding) drop() {
+	if b.sess != nil {
+		b.sess.abandon(b.streamID, &b.rx)
+		b.sess = nil
+	}
+	b.poisoned = true
+}
+
+// SendRequestStream implements core.StreamBinding: it opens a stream — one
+// flow-control credit for the whole logical message — and returns a sink
+// whose chunks ride the session's batching writer.
+func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (core.ChunkSink, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.open(ctx, contentType); err != nil {
+		return nil, err
+	}
+	return &b.sink, nil
+}
+
+// SendRequest implements core.Binding: the one-chunk request. The payload
+// is borrowed per the Binding contract; because the write happens
+// asynchronously, it is retained here and released by the writer once
+// framed (or by the failure path), so the caller's pooled request stays
+// valid for retries either way.
 //
-//paylint:returns owned
-func (b *Binding) ReceiveResponse(ctx context.Context) (*core.Payload, string, error) {
+//paylint:borrows
+func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, contentType string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.open(ctx, contentType); err != nil {
+		return err
+	}
+	payload.Retain()
+	if err := b.sink.WriteChunk(payload, true); err != nil {
+		b.drop()
+		return err
+	}
+	return nil
+}
+
+// muxSink writes one request into the session's write queue, handing each
+// chunk over with ownership (see chunkFrame for the wire form).
+type muxSink struct {
+	b       *Binding
+	sess    *Session
+	id      uint64
+	ct      string
+	started bool
+}
+
+//paylint:transfers
+func (s *muxSink) WriteChunk(p *core.Payload, last bool) error {
+	w := chunkFrame(s.id, s.ct, p, !s.started, last)
+	s.started = true
+	if w.typ == fChunk {
+		select {
+		case <-s.sess.chunkSlots:
+		case <-s.sess.done:
+			p.Release()
+			return s.sess.failure()
+		}
+	}
+	if err := s.sess.enqueue(w); err != nil {
+		if w.typ == fChunk {
+			putSlot(s.sess.chunkSlots)
+		}
+		p.Release()
+		return err
+	}
+	return nil
+}
+
+// Abort abandons the request mid-message: RST(cancel) tells the server,
+// the response stream is unregistered, and the binding is retired — the
+// shared session stays healthy.
+func (s *muxSink) Abort() {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	s.b.drop()
+}
+
+// ReceiveResponseStream implements core.StreamBinding. It waits for the
+// response's first chunk (which carries the content type) and returns a
+// source for the rest; a DATA response is that one chunk. Cancellation
+// abandons only this stream — an RST(cancel) tells the server to stop, the
+// shared session stays healthy — but still poisons this binding, matching
+// the taxonomy's rule that an abandoned exchange never carries another
+// call.
+func (b *Binding) ReceiveResponseStream(ctx context.Context) (core.ChunkSource, string, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.poisoned {
 		return nil, "", fmt.Errorf("muxbind: %w", core.ErrBindingPoisoned)
 	}
-	if b.resp == nil {
+	if b.sess == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, "", err
 		}
 		return nil, "", errors.New("muxbind: no request in flight")
 	}
-	sess, id, resp := b.sess, b.streamID, b.resp
-	b.sess, b.streamID, b.resp = nil, 0, nil
-	select {
-	case r := <-resp:
-		if r.err != nil {
-			b.poisoned = true
-			return nil, "", r.err
-		}
-		return r.payload, r.ct, nil
-	case <-ctx.Done():
-		sess.abandon(id, resp)
-		b.poisoned = true
+	m, ok := b.rx.pop(ctx.Done())
+	if !ok {
+		b.drop()
 		return nil, "", ctx.Err()
-	case <-sess.done:
-		b.poisoned = true
-		return nil, "", sess.failure()
 	}
+	sess, id := b.sess, b.streamID
+	b.sess = nil
+	if m.err != nil {
+		b.poisoned = true
+		return nil, "", m.err
+	}
+	b.src = muxSource{b: b, sess: sess, id: id, pending: m.payload, pendingLast: m.last}
+	return &b.src, m.ct, nil
+}
+
+// ReceiveResponse implements core.Binding: the response as one payload the
+// caller owns — the response's only chunk itself when it is one, a
+// gathered copy (bounded by core.MaxMessageSize) when it streamed.
+//
+//paylint:returns owned
+func (b *Binding) ReceiveResponse(ctx context.Context) (*core.Payload, string, error) {
+	src, ct, err := b.ReceiveResponseStream(ctx)
+	if err != nil {
+		return nil, "", err
+	}
+	p, err := core.GatherChunks(src)
+	if err != nil {
+		src.Abort()
+		return nil, "", &core.TransportError{Op: "receive response", Err: err}
+	}
+	return p, ct, nil
+}
+
+// muxSource reads one response off the binding's queue. The first chunk
+// was consumed by ReceiveResponseStream for its content type and is
+// replayed from pending.
+type muxSource struct {
+	b           *Binding
+	sess        *Session
+	id          uint64
+	pending     *core.Payload
+	pendingLast bool
+	done        bool
+}
+
+//paylint:returns owned
+func (s *muxSource) ReadChunk() (*core.Payload, bool, error) {
+	if s.done {
+		return nil, false, io.EOF
+	}
+	if p := s.pending; p != nil {
+		s.pending = nil
+		s.done = s.pendingLast
+		return p, s.pendingLast, nil
+	}
+	m, _ := s.b.rx.pop(nil)
+	if m.err != nil {
+		s.done = true
+		s.b.mu.Lock()
+		s.b.poisoned = true
+		s.b.mu.Unlock()
+		return nil, false, m.err
+	}
+	s.done = m.last
+	return m.payload, m.last, nil
+}
+
+// Abort abandons the response mid-stream and retires the binding.
+func (s *muxSource) Abort() {
+	s.pending.Release()
+	s.pending = nil
+	s.done = true
+	s.sess.abandon(s.id, &s.b.rx)
+	s.b.mu.Lock()
+	s.b.poisoned = true
+	s.b.mu.Unlock()
 }
 
 // Poisoned reports whether the binding has been retired. A poisoned binding
@@ -137,14 +279,8 @@ func (b *Binding) Poisoned() bool {
 func (b *Binding) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.resp != nil {
-		b.sess.abandon(b.streamID, b.resp)
-		b.sess, b.streamID, b.resp = nil, 0, nil
-	}
-	if b.rxc != nil {
-		b.sess.abandonChunked(b.streamID, b.rxc)
-		b.sess, b.streamID, b.rxc = nil, 0, nil
-	}
-	b.poisoned = true
+	b.drop()
 	return nil
 }
+
+var _ core.StreamBinding = (*Binding)(nil)

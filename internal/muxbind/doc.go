@@ -21,13 +21,14 @@
 //	CHUNK:   flags 1 byte (0x01 first, 0x02 last), then on first:
 //	         ctLen VLS, ct bytes; always: payloadLen VLS, payload bytes
 //
-// A CHUNK run is one logical message spread over several frames on one
-// stream — exactly one frame carries the first flag (and the content type),
-// exactly one carries last; a single-chunk message carries both. Chunk
-// frames from different streams interleave freely, which is what lets a
-// multi-hundred-megabyte streamed call share a connection with small
-// buffered exchanges instead of wedging them (see stream.go for the
-// send-pacing and receive-window bounds inside one message).
+// A message whose first chunk is also its last — every buffered message —
+// is one DATA frame. A longer one is a CHUNK run on one stream: exactly one
+// frame carries the first flag (and the content type), exactly one carries
+// last (a CHUNK frame carrying both is accepted as a one-chunk message).
+// Chunk frames from different streams interleave freely, which is what lets
+// a multi-hundred-megabyte streamed call share a connection with small
+// exchanges instead of wedging them (see stream.go for the send-pacing and
+// receive-window bounds inside one message).
 //
 // Flow control is credit-based at stream granularity: the server advertises
 // an initial window with a CREDIT frame immediately after accepting the
@@ -35,9 +36,10 @@
 // consumes one credit for its whole run — and the server returns one credit
 // (batched into a single CREDIT frame per write flush) each time a stream
 // completes — by response or by RST. A client that opens more streams than
-// its window is violating the protocol and is reset. Responses are chunked
-// only in answer to chunked requests and only when the server is configured
-// for it; every other combination falls back to a buffered DATA frame.
+// its window is violating the protocol and is reset. Both sides run one
+// message path: a buffered exchange is the one-chunk case of the streamed
+// one. Responses are windowed only in answer to CHUNK requests and only
+// when the server is configured for it (respond-in-kind).
 //
 // The server schedules streams onto a bounded worker pool shared across
 // connections. When the dispatch queue is full, admission control sheds the

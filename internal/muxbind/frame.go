@@ -95,8 +95,8 @@ type frame struct {
 	code    uint64        // RST, GOAWAY
 	detail  string        // RST, GOAWAY
 	credit  uint64        // CREDIT
-	first   bool          // CHUNK
-	last    bool          // CHUNK
+	first   bool          // DATA (always), CHUNK
+	last    bool          // DATA (always), CHUNK
 }
 
 // frameReader holds one connection's receive-side reuse state: scratch
@@ -137,9 +137,8 @@ func (fr *frameReader) read(r *bufio.Reader) (frame, error) {
 		if stream == 0 {
 			return f, fmt.Errorf("muxbind: frame type %#x on control stream 0", f.typ)
 		}
-		// A DATA frame is a whole message: implicitly first and last, though
-		// f.first/f.last stay unset (its receivers switch on the type).
-		first := true
+		// A DATA frame is a whole message: its one chunk is first and last.
+		f.first, f.last = true, true
 		if f.typ == fChunk {
 			flags, err := r.ReadByte()
 			if err != nil {
@@ -150,9 +149,8 @@ func (fr *frameReader) read(r *bufio.Reader) (frame, error) {
 			}
 			f.first = flags&chunkFirst != 0
 			f.last = flags&chunkLast != 0
-			first = f.first
 		}
-		if first {
+		if f.first {
 			if f.ct, err = fr.ct.Read(r); err != nil {
 				return f, err
 			}
@@ -281,6 +279,19 @@ type qframe struct {
 	detail  string
 	first   bool // CHUNK
 	last    bool // CHUNK
+}
+
+// chunkFrame frames one chunk of an outbound message, and is the one place
+// either side picks the wire form: a message whose first chunk is also its
+// last is one DATA frame — a buffered message, byte for byte — and takes no
+// pacing slot; anything longer is a run of CHUNK frames, the first one
+// carrying the content type.
+func chunkFrame(stream uint64, ct string, p *core.Payload, first, last bool) qframe {
+	typ := byte(fChunk)
+	if first && last {
+		typ = fData
+	}
+	return qframe{typ: typ, stream: stream, payload: p, ct: ct, first: first, last: last}
 }
 
 // write appends the frame to the write buffer (no flush), counts it,

@@ -95,7 +95,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{
 			"data",
 			frameBytes(func(w *bufio.Writer) { writeData(w, 9, []byte("payload"), "text/xml") }),
-			frame{typ: fData, stream: 9, ct: "text/xml"},
+			frame{typ: fData, stream: 9, ct: "text/xml", first: true, last: true},
 		},
 		{
 			"chunk first",

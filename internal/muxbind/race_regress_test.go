@@ -14,11 +14,11 @@ import (
 )
 
 // Regression for the deliver/abandon protocol: deliver (the reader) removes
-// a stream from the map under mu but sends the result outside it, which
-// opens a window where a cancelling caller's abandon finds the stream
-// already gone with the payload still in flight. abandon must wait for the
-// committed send (blocking receive) instead of racing it with a
-// select+default drain — racing it leaks the payload. This test hammers
+// a stream from the map under the session's mu but pushes the response into
+// the stream's queue outside it, which opens a window where a cancelling
+// caller's abandon finds the stream already gone with the payload still in
+// flight. The queue settles it: a push that lands after abandon killed the
+// queue releases its payload instead of parking it. This test hammers
 // cancellation against response delivery from both sides of that window and
 // asserts nothing leaks.
 func TestMuxDeliverAbandonRaceNoLeak(t *testing.T) {

@@ -25,17 +25,8 @@ var ErrOverloaded = errors.New("muxbind: server overloaded")
 // credits — can never block against a well-behaved server.
 const maxClientCredits = 1024
 
-// result is one stream's terminal outcome, delivered exactly once on the
-// stream's response channel: a payload (ownership transfers to the waiting
-// binding) or an error (RST, session death).
-type result struct {
-	payload *core.Payload
-	ct      string
-	err     error
-}
-
 // Session is one multiplexed connection: a reader goroutine demultiplexing
-// inbound frames to per-stream channels, a writer goroutine coalescing
+// inbound frames to per-stream queues, a writer goroutine coalescing
 // outbound frames into batched flushes, and a credit account replenished by
 // the server's CREDIT frames.
 type Session struct {
@@ -58,28 +49,26 @@ type Session struct {
 	chunkSlots chan struct{}
 	done       chan struct{}
 
-	mu      sync.Mutex
-	streams map[uint64]chan result
-	// chunkStreams routes inbound response chunks for streamed exchanges.
-	// The reader is the sole pusher; the stream is removed when its last
-	// chunk (or terminal error) is routed.
-	chunkStreams map[uint64]*cstream
-	nextID       uint64
-	active       int64
-	failed       error
+	mu sync.Mutex
+	// queues routes inbound response frames to their stream's queue. The
+	// reader is the sole pusher; the stream is removed when its last chunk
+	// (or terminal error) is routed.
+	queues map[uint64]*cstream
+	nextID uint64
+	active int64
+	failed error
 }
 
 func newSession(conn net.Conn, o *obs.Observer) *Session {
 	s := &Session{
-		conn:         conn,
-		obs:          o,
-		writeq:       make(chan qframe, 2*maxClientCredits+maxChunkSlots+8),
-		credits:      make(chan struct{}, maxClientCredits),
-		chunkSlots:   make(chan struct{}, maxChunkSlots),
-		done:         make(chan struct{}),
-		streams:      make(map[uint64]chan result),
-		chunkStreams: make(map[uint64]*cstream),
-		nextID:       1,
+		conn:       conn,
+		obs:        o,
+		writeq:     make(chan qframe, 2*maxClientCredits+maxChunkSlots+8),
+		credits:    make(chan struct{}, maxClientCredits),
+		chunkSlots: make(chan struct{}, maxChunkSlots),
+		done:       make(chan struct{}),
+		queues:     make(map[uint64]*cstream),
+		nextID:     1,
 	}
 	for i := 0; i < maxChunkSlots; i++ {
 		s.chunkSlots <- struct{}{}
@@ -118,7 +107,6 @@ func (s *Session) failure() error {
 // multiplexed onto it.
 //
 //paylint:classifies
-//paylint:nonblocking removing a stream from the map commits this goroutine as the sole sender on its one-slot channel
 func (s *Session) fail(op string, err error) {
 	s.mu.Lock()
 	if s.failed != nil {
@@ -129,15 +117,10 @@ func (s *Session) fail(op string, err error) {
 	s.failed = failed
 	close(s.done)
 	s.conn.Close()
-	victims := make([]chan result, 0, len(s.streams))
-	for id, ch := range s.streams {
-		delete(s.streams, id)
-		victims = append(victims, ch)
-	}
-	cvictims := make([]*cstream, 0, len(s.chunkStreams))
-	for id, c := range s.chunkStreams {
-		delete(s.chunkStreams, id)
-		cvictims = append(cvictims, c)
+	victims := make([]*cstream, 0, len(s.queues))
+	for id, c := range s.queues {
+		delete(s.queues, id)
+		victims = append(victims, c)
 	}
 	s.obs.GaugeAdd(obs.MuxStreams, -s.active)
 	s.active = 0
@@ -155,16 +138,10 @@ func (s *Session) fail(op string, err error) {
 		}
 	}
 	s.mu.Unlock()
-	// Deliver the terminal error outside the lock. Taking each stream out
-	// of the map above made this goroutine the sole sender on its
-	// one-result channel, so these sends cannot block — and a slow waiter
-	// can no longer stall everyone contending for mu.
-	for _, ch := range victims {
-		ch <- result{err: failed}
-	}
-	// Chunk streams get the error through their own queue: the consumer
-	// drains any chunks already routed, then surfaces the failure.
-	for _, c := range cvictims {
+	// Each stream gets the error through its own queue, outside the lock:
+	// the consumer drains any chunks already routed, then surfaces the
+	// failure.
+	for _, c := range victims {
 		c.fail(failed)
 	}
 }
@@ -176,11 +153,9 @@ func (s *Session) close() error {
 	return nil
 }
 
-// open registers a new stream under a fresh ID: a buffered exchange waits
-// for its one result on ch, a streamed one queues response chunks on c
-// (exactly one of the two is non-nil). The caller must already hold a
-// credit.
-func (s *Session) open(ch chan result, c *cstream) (uint64, error) {
+// open registers a new stream under a fresh ID whose response frames are
+// routed to c. The caller must already hold a credit.
+func (s *Session) open(c *cstream) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
@@ -188,11 +163,7 @@ func (s *Session) open(ch chan result, c *cstream) (uint64, error) {
 	}
 	id := s.nextID
 	s.nextID++
-	if c != nil {
-		s.chunkStreams[id] = c
-	} else {
-		s.streams[id] = ch
-	}
+	s.queues[id] = c
 	s.active++
 	s.obs.Inc(obs.MuxStreamsOpened)
 	s.obs.GaugeAdd(obs.MuxStreams, 1)
@@ -222,94 +193,46 @@ func (s *Session) enqueue(w qframe) error {
 	}
 }
 
-// abandon ends the caller's interest in a stream (cancellation). If the
-// result already arrived it is drained and released; otherwise the stream
-// is unregistered and a best-effort RST(cancel) tells the server to stop.
-func (s *Session) abandon(id uint64, ch chan result) {
+// abandon ends the caller's interest in a stream: the stream is
+// unregistered, its queue drained, and a best-effort RST(cancel) tells the
+// server to stop.
+func (s *Session) abandon(id uint64, c *cstream) {
 	s.mu.Lock()
-	if _, ok := s.streams[id]; ok {
-		delete(s.streams, id)
+	if _, ok := s.queues[id]; ok {
+		delete(s.queues, id)
 		s.active--
 		s.obs.GaugeAdd(obs.MuxStreams, -1)
-		if s.failed == nil {
-			select {
-			case s.writeq <- qframe{typ: fRst, stream: id, code: RstCancel, detail: "context cancelled"}:
-			default:
-			}
+	}
+	if s.failed == nil {
+		select {
+		case s.writeq <- qframe{typ: fRst, stream: id, code: RstCancel, detail: "stream abandoned"}:
+		default:
 		}
-		s.mu.Unlock()
-		return
 	}
 	s.mu.Unlock()
-	// The stream is already out of the map, so deliver or fail committed to
-	// sending exactly one terminal result — but the send happens outside
-	// mu, so it may not have landed yet. Wait for it (guaranteed and
-	// prompt) instead of racing it and leaking the payload.
-	r := <-ch
-	r.payload.Release()
+	c.kill()
 }
 
-// deliver routes a terminal result to its stream's waiter, releasing the
-// payload of results for streams nobody waits on anymore (abandoned, then
-// answered).
-func (s *Session) deliver(id uint64, r result) {
+// deliver routes one inbound response frame to its stream's queue: a
+// chunk or a terminal error. Frames for unknown streams trail an abandoned or
+// failed exchange and are released silently.
+func (s *Session) deliver(id uint64, m chunkMsg) {
 	s.mu.Lock()
-	ch, ok := s.streams[id]
-	if ok {
-		delete(s.streams, id)
-		s.active--
-		s.obs.GaugeAdd(obs.MuxStreams, -1)
-	}
-	var c *cstream
-	if !ok {
-		if cc, cok := s.chunkStreams[id]; cok {
-			delete(s.chunkStreams, id)
-			s.active--
-			s.obs.GaugeAdd(obs.MuxStreams, -1)
-			c = cc
-		}
-	}
-	s.mu.Unlock()
-	if c != nil {
-		// A terminal frame for a streamed exchange: an RST fails the
-		// stream's queue; a DATA frame is a buffered peer's whole response
-		// (the fallback matrix's buffered-response cell), surfaced as one
-		// final chunk.
-		if r.err != nil {
-			c.fail(r.err)
-		} else {
-			c.push(chunkMsg{payload: r.payload, ct: r.ct, last: true}, 0)
-		}
-		return
-	}
-	if !ok {
-		r.payload.Release()
-		return
-	}
-	// Send outside the lock: removing the stream from the map above made
-	// this goroutine the sole sender on the one-result channel, so the
-	// send cannot block, and the reader no longer holds every other
-	// stream's registrations hostage while handing one result over.
-	ch <- r
-}
-
-// deliverChunk routes one inbound response chunk. Chunks for unknown
-// streams are released silently — they trail an abandoned or failed
-// exchange, exactly like a late DATA frame.
-func (s *Session) deliverChunk(f frame) {
-	s.mu.Lock()
-	c, ok := s.chunkStreams[f.stream]
-	if ok && f.last {
-		delete(s.chunkStreams, f.stream)
+	c, ok := s.queues[id]
+	if ok && (m.last || m.err != nil) {
+		delete(s.queues, id)
 		s.active--
 		s.obs.GaugeAdd(obs.MuxStreams, -1)
 	}
 	s.mu.Unlock()
-	if !ok {
-		f.payload.Release()
-		return
+	switch {
+	case !ok:
+		m.payload.Release()
+	case m.err != nil:
+		c.fail(m.err)
+	default:
+		c.push(m, 0)
 	}
-	c.push(chunkMsg{payload: f.payload, ct: f.ct, last: f.last}, 0)
 }
 
 // rstError classifies a received RST into the transport-error taxonomy.
@@ -324,9 +247,8 @@ func rstError(code uint64, detail string) error {
 }
 
 // readLoop demultiplexes inbound frames until the connection dies. It owns
-// the receive side: every DATA payload it reads is either handed to the
-// stream's waiter (ownership transfers through the result channel) or
-// released here.
+// the receive side: every payload it reads is either handed to the
+// stream's queue (ownership transfers with the chunk) or released here.
 func (s *Session) readLoop() {
 	br := bufio.NewReaderSize(s.conn, 64<<10)
 	var fr frameReader
@@ -337,16 +259,13 @@ func (s *Session) readLoop() {
 			return
 		}
 		switch f.typ {
-		case fData:
-			s.obs.ChunkReceived(f.payload.Len(), true)
-			s.deliver(f.stream, result{payload: f.payload, ct: f.ct})
-		case fChunk:
+		case fData, fChunk:
 			s.obs.ChunkReceived(f.payload.Len(), f.last)
-			s.deliverChunk(f)
+			s.deliver(f.stream, chunkMsg{payload: f.payload, ct: f.ct, last: f.last})
 		case fRst:
 			s.obs.Inc(obs.MuxResets)
 			s.obs.Event(obs.EvStreamReset, rstCodeName(f.code))
-			s.deliver(f.stream, result{err: rstError(f.code, f.detail)})
+			s.deliver(f.stream, chunkMsg{err: rstError(f.code, f.detail)})
 		case fCredit:
 			for i := uint64(0); i < f.credit; i++ {
 				select {

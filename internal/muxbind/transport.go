@@ -90,7 +90,9 @@ func NewTransport(dial Dialer, addr string, opts ...Option) *Transport {
 // at a time, matching the engine's call discipline; closing one never
 // closes a session.
 func (t *Transport) NewBinding() *Binding {
-	return &Binding{tr: t}
+	b := &Binding{tr: t}
+	b.rx.avail = make(chan struct{}, 1)
+	return b
 }
 
 // Sessions reports how many connections the transport currently holds open
