@@ -189,8 +189,8 @@ func (d *Dispatcher[E]) recordServerOp(op string, sp *obs.Span, hop *obs.Hop, en
 }
 
 // DispatchPayload runs one full server-side exchange in payload terms, for
-// transports that schedule materialized messages themselves (muxbind DATA
-// frames): decode and dispatch the request bytes, then encode the response
+// callers that hold a materialized message (the benchmark's layer ladder):
+// decode and dispatch the request bytes, then encode the response
 // into a pooled payload the caller owns (and must either release or hand to
 // a transferring send). The request payload is borrowed — the caller keeps
 // ownership and releases it after DispatchPayload returns.
