@@ -1,0 +1,5 @@
+//go:build race
+
+package httpbind
+
+const raceEnabled = true
