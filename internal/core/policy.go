@@ -325,6 +325,11 @@ func (c Codec[E]) DecodePayload(p *Payload) (*Envelope, error) {
 // valid expressions match the paper's list — send_request,
 // receive_response on this interface; receive_request, send_response on the
 // server-side Channel.
+//
+// The engine runs every exchange over StreamBinding, the chunk face; on
+// the shipped bindings these two calls are that face's one-chunk case,
+// kept for callers that step an exchange by hand. A Binding without the
+// stream face is carried one chunk each way.
 type Binding interface {
 	// SendRequest transmits one serialized SOAP message. The binding
 	// borrows payload for the duration of the call and must not retain
@@ -334,10 +339,11 @@ type Binding interface {
 	//
 	//paylint:borrows
 	SendRequest(ctx context.Context, payload *Payload, contentType string) error
-	// ReceiveResponse blocks for the reply to the last request. Ownership
-	// of the returned payload transfers to the caller, which must Release
-	// it after decoding. Bindings used for one-way MEPs never have
-	// ReceiveResponse called.
+	// ReceiveResponse blocks for the reply to the last request — for a
+	// one-way MEP, the transport-level acknowledgement, which the engine
+	// drains to keep the connection in sync. Ownership of the returned
+	// payload transfers to the caller, which must Release it after
+	// decoding.
 	//
 	//paylint:returns owned
 	ReceiveResponse(ctx context.Context) (payload *Payload, contentType string, err error)

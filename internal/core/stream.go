@@ -83,7 +83,9 @@ type StreamEncoding interface {
 	DecodeChunks(src ChunkSource) (*bxdm.Document, error)
 }
 
-// StreamBinding is the optional streaming face of a client Binding.
+// StreamBinding is the chunk face of a client Binding, the one every
+// engine exchange runs over. A message whose first chunk is also its last
+// goes out in the binding's buffered wire form.
 type StreamBinding interface {
 	Binding
 	// SendRequestStream opens a chunked request; the caller writes the
@@ -95,6 +97,42 @@ type StreamBinding interface {
 	// as a one-chunk source, so a streaming client interoperates with a
 	// buffered server.
 	ReceiveResponseStream(ctx context.Context) (ChunkSource, string, error)
+}
+
+// SendWhole is Binding.SendRequest for a binding that streams: p goes out
+// as the request's one last chunk. The payload is borrowed — the sink takes
+// a reference of its own.
+//
+//paylint:borrows
+func SendWhole(ctx context.Context, sb StreamBinding, p *Payload, contentType string) error {
+	sink, err := sb.SendRequestStream(ctx, contentType)
+	if err != nil {
+		return err
+	}
+	p.Retain()
+	if err := sink.WriteChunk(p, true); err != nil {
+		sink.Abort()
+		return err
+	}
+	return nil
+}
+
+// ReceiveWhole is Binding.ReceiveResponse for a binding that streams: the
+// response as one payload the caller owns — its only chunk itself when it
+// is one, a gathered copy (bounded by MaxMessageSize) when it streamed.
+//
+//paylint:returns owned
+func ReceiveWhole(ctx context.Context, sb StreamBinding) (*Payload, string, error) {
+	src, ct, err := sb.ReceiveResponseStream(ctx)
+	if err != nil {
+		return nil, "", err
+	}
+	p, err := GatherChunks(src)
+	if err != nil {
+		src.Abort()
+		return nil, "", &TransportError{Op: "receive response", Err: err}
+	}
+	return p, ct, nil
 }
 
 // EncodeChunksOf streams doc through enc into sink. Encodings implementing

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -59,10 +58,11 @@ type Binding struct {
 	action string
 	obs    *obs.Observer
 
-	mu      sync.Mutex
-	pending *http.Response
-	// respc carries the in-flight streamed POST's outcome from the Do
-	// goroutine to ReceiveResponseStream (see stream.go).
+	// mu guards the exchange in flight: the response to a whole request
+	// (pending, set when client.Do returns) or a chunked request's outcome
+	// on its way from the Do goroutine (respc). See stream.go.
+	mu       sync.Mutex
+	pending  *http.Response
 	respc    chan doResult
 	poisoned bool
 
@@ -75,6 +75,12 @@ type Binding struct {
 	proto     *http.Request
 	header    http.Header
 	actionHdr string
+
+	// sink and src are the two ends every exchange runs through; they live
+	// here (the binding carries one exchange at a time) so opening a
+	// message allocates nothing of its own.
+	sink cliSink
+	src  bodySource
 }
 
 // Dialer opens the underlying transport connection.
@@ -160,81 +166,6 @@ func (b *payloadBody) Close() error {
 	return nil
 }
 
-// SendRequest implements core.Binding. The payload is borrowed; the body
-// wrapper retains it for as long as net/http needs it.
-//
-//paylint:borrows
-func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, contentType string) error {
-	b.mu.Lock()
-	if b.poisoned {
-		b.mu.Unlock()
-		return fmt.Errorf("httpbind: %w", core.ErrBindingPoisoned)
-	}
-	b.mu.Unlock()
-	if b.proto == nil {
-		return fmt.Errorf("httpbind: invalid URL %q", b.url)
-	}
-	// Rewrite the reused header map only when a value actually changed, so
-	// steady-state requests touch no header storage at all.
-	if b.header.Get("Content-Type") != contentType {
-		b.header.Set("Content-Type", contentType)
-	}
-	if b.header.Get("SOAPAction") != b.actionHdr {
-		b.header.Set("SOAPAction", b.actionHdr)
-	}
-	body := newPayloadBody(payload)
-	req := b.proto.WithContext(ctx)
-	req.Body = body
-	req.ContentLength = int64(payload.Len())
-	req.GetBody = func() (io.ReadCloser, error) { return newPayloadBody(payload), nil }
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return &core.TransportError{Op: "send request", Err: fmt.Errorf("httpbind: POST %s: %w", b.url, err)}
-	}
-	b.mu.Lock()
-	if b.pending != nil {
-		b.pending.Body.Close()
-	}
-	b.pending = resp
-	b.mu.Unlock()
-	b.obs.ChunkSent(payload.Len(), true)
-	return nil
-}
-
-// ReceiveResponse implements core.Binding. The body is read into a pooled
-// payload sized by Content-Length (ownership transfers to the caller). A
-// body read that fails (most often a context deadline expiring mid-body)
-// leaves the HTTP connection with an unconsumed response, so the binding is
-// poisoned and must be discarded rather than reused.
-//
-//paylint:returns owned
-func (b *Binding) ReceiveResponse(_ context.Context) (*core.Payload, string, error) {
-	b.mu.Lock()
-	resp := b.pending
-	b.pending = nil
-	b.mu.Unlock()
-	if resp == nil {
-		return nil, "", errors.New("httpbind: no request in flight")
-	}
-	defer resp.Body.Close()
-	body, err := core.ReadPayload(resp.Body, resp.ContentLength, 0)
-	if err != nil {
-		b.mu.Lock()
-		b.poisoned = true
-		b.mu.Unlock()
-		b.client.CloseIdleConnections()
-		return nil, "", fmt.Errorf("httpbind: read response: %w: %w", core.ErrBindingPoisoned, err)
-	}
-	// SOAP 1.1 over HTTP uses 500 for fault responses; both 200 and 500
-	// carry SOAP envelopes.
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusInternalServerError {
-		body.Release()
-		return nil, "", fmt.Errorf("httpbind: unexpected HTTP status %s", resp.Status)
-	}
-	b.obs.ChunkReceived(body.Len(), true)
-	return body, resp.Header.Get("Content-Type"), nil
-}
-
 // Close implements core.Binding.
 func (b *Binding) Close() error {
 	b.mu.Lock()
@@ -245,15 +176,7 @@ func (b *Binding) Close() error {
 	respc := b.respc
 	b.respc = nil
 	b.mu.Unlock()
-	if respc != nil {
-		// An abandoned streamed call: let the Do goroutine finish against
-		// its broken pipe and close whatever response it produced.
-		go func() {
-			if r := <-respc; r.resp != nil {
-				r.resp.Body.Close()
-			}
-		}()
-	}
+	discard(respc)
 	b.client.CloseIdleConnections()
 	return nil
 }
@@ -334,13 +257,13 @@ type channel struct {
 	// HTTP response; once a real response has been offered, Close stays out.
 	started atomic.Bool
 	obs     *obs.Observer
-	src     srvSource
+	src     bodySource
 	sink    srvSink
 }
 
 func newChannel(r *http.Request, o *obs.Observer) *channel {
 	ch := &channel{r: r, chunks: make(chan chunkWrite), hgone: make(chan struct{}), obs: o}
-	ch.src.c, ch.sink.c = ch, ch
+	ch.sink.c = ch
 	return ch
 }
 
@@ -429,10 +352,6 @@ func (s *Listener) Close() error {
 	return s.srv.Close()
 }
 
-// streamWindow sizes the receive-side slices of a body of undeclared
-// length. It bounds per-chunk pooled allocation, not the message.
-const streamWindow = 64 << 10
-
 // ReceiveRequest implements core.Channel: the one request, then EOF (HTTP
 // is one exchange per channel). The body's first chunk is read here, on the
 // dispatcher goroutine; a read error surfaces as a channel error (the
@@ -442,67 +361,11 @@ func (c *channel) ReceiveRequest(_ context.Context) (core.ChunkSource, string, e
 		return nil, "", io.EOF
 	}
 	c.received = true
-	p, last, err := c.src.read()
-	if err != nil {
+	c.src = bodySource{body: c.r.Body, length: c.r.ContentLength, obs: c.obs}
+	if err := c.src.open(); err != nil {
 		return nil, "", err
 	}
-	c.src.first, c.src.done = p, last
 	return &c.src, c.r.Header.Get("Content-Type"), nil
-}
-
-// srvSource yields the request body as chunks. A body of declared length is
-// one chunk, read into a pooled payload of exactly that size — the message
-// as its sender framed it; a body of undeclared length (chunked transfer
-// encoding) is sliced into windows as it arrives. HTTP does not preserve
-// the sender's chunk boundaries, which the chunk contract permits: chunks
-// are arbitrary windows of one message and every streaming decoder is
-// boundary-agnostic.
-type srvSource struct {
-	c     *channel
-	first *core.Payload // read by ReceiveRequest, not yet consumed
-	done  bool          // the last chunk has been read off the body
-}
-
-//paylint:returns owned
-func (s *srvSource) read() (*core.Payload, bool, error) {
-	r := s.c.r
-	var p *core.Payload
-	var err error
-	last := true
-	if r.ContentLength >= 0 {
-		p, err = core.ReadPayload(r.Body, r.ContentLength, 0)
-	} else if p, last, err = core.ReadPayloadWindow(r.Body, streamWindow); err == io.EOF {
-		// Clean end with no pending bytes: the chunk contract wants an
-		// explicit last chunk, so emit an empty one.
-		p, last, err = core.NewPayload(0), true, nil
-	}
-	if err != nil {
-		return nil, false, &core.TransportError{Op: "read request", Err: fmt.Errorf("httpbind: %w", err)}
-	}
-	s.c.obs.ChunkReceived(p.Len(), last)
-	return p, last, nil
-}
-
-//paylint:returns owned
-func (s *srvSource) ReadChunk() (*core.Payload, bool, error) {
-	if p := s.first; p != nil {
-		s.first = nil
-		return p, s.done, nil
-	}
-	if s.done {
-		return nil, false, io.EOF
-	}
-	p, last, err := s.read()
-	s.done = last || err != nil
-	return p, last, err
-}
-
-// Abort stops consuming the request body; net/http settles the connection
-// when the handler returns, and the response side of the exchange still
-// works (the dispatcher answers an undecodable request with a fault).
-func (s *srvSource) Abort() {
-	s.first.Release()
-	s.first, s.done = nil, true
 }
 
 var errResponded = errors.New("httpbind: response already sent")

@@ -49,42 +49,6 @@ type Binding struct {
 	src  muxSource
 }
 
-// open (under mu) starts an exchange: it takes a session, waits for one
-// flow-control credit and registers the response queue under a fresh
-// stream ID. Blocking on the credit is the backpressure — when the
-// server's window is spent, new calls wait for completions instead of
-// piling frames onto the wire. Nothing is written yet: the sink picks the
-// wire form when it sees whether the first chunk is also the last.
-func (b *Binding) open(ctx context.Context, contentType string) error {
-	if b.poisoned {
-		return fmt.Errorf("muxbind: %w", core.ErrBindingPoisoned)
-	}
-	if b.sess != nil {
-		return errors.New("muxbind: request already in flight")
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sess, err := b.tr.session()
-	if err != nil {
-		return err
-	}
-	select {
-	case <-sess.credits:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-sess.done:
-		return sess.failure()
-	}
-	id, err := sess.open(&b.rx)
-	if err != nil {
-		return err
-	}
-	b.sess, b.streamID = sess, id
-	b.sink = muxSink{b: b, sess: sess, id: id, ct: contentType}
-	return nil
-}
-
 // drop (under mu) abandons the exchange in flight, if any, and retires
 // the binding; the shared session stays healthy.
 func (b *Binding) drop() {
@@ -96,36 +60,54 @@ func (b *Binding) drop() {
 }
 
 // SendRequestStream implements core.StreamBinding: it opens a stream — one
-// flow-control credit for the whole logical message — and returns a sink
-// whose chunks ride the session's batching writer.
+// flow-control credit for the whole logical message. It takes a session,
+// waits for the credit and registers the response queue under a fresh
+// stream ID. Blocking on the credit is the backpressure — when the
+// server's window is spent, new calls wait for completions instead of
+// piling frames onto the wire. Nothing is written yet: the sink, whose
+// chunks ride the session's batching writer, picks the wire form when it
+// sees whether the first chunk is also the last.
 func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (core.ChunkSink, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.open(ctx, contentType); err != nil {
+	if b.poisoned {
+		return nil, fmt.Errorf("muxbind: %w", core.ErrBindingPoisoned)
+	}
+	if b.sess != nil {
+		return nil, errors.New("muxbind: request already in flight")
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sess, err := b.tr.session()
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-sess.credits:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-sess.done:
+		return nil, sess.failure()
+	}
+	id, err := sess.open(&b.rx)
+	if err != nil {
+		return nil, err
+	}
+	b.sess, b.streamID = sess, id
+	b.sink = muxSink{b: b, sess: sess, id: id, ct: contentType}
 	return &b.sink, nil
 }
 
 // SendRequest implements core.Binding: the one-chunk request. The payload
 // is borrowed per the Binding contract; because the write happens
-// asynchronously, it is retained here and released by the writer once
-// framed (or by the failure path), so the caller's pooled request stays
-// valid for retries either way.
+// asynchronously, core.SendWhole retains it for the sink, and the writer
+// releases it once framed (or the failure path does), so the caller's
+// pooled request stays valid for retries either way.
 //
 //paylint:borrows
 func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, contentType string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.open(ctx, contentType); err != nil {
-		return err
-	}
-	payload.Retain()
-	if err := b.sink.WriteChunk(payload, true); err != nil {
-		b.drop()
-		return err
-	}
-	return nil
+	return core.SendWhole(ctx, b, payload, contentType)
 }
 
 // muxSink writes one request into the session's write queue, handing each
@@ -204,21 +186,11 @@ func (b *Binding) ReceiveResponseStream(ctx context.Context) (core.ChunkSource, 
 }
 
 // ReceiveResponse implements core.Binding: the response as one payload the
-// caller owns — the response's only chunk itself when it is one, a
-// gathered copy (bounded by core.MaxMessageSize) when it streamed.
+// caller owns (see core.ReceiveWhole).
 //
 //paylint:returns owned
 func (b *Binding) ReceiveResponse(ctx context.Context) (*core.Payload, string, error) {
-	src, ct, err := b.ReceiveResponseStream(ctx)
-	if err != nil {
-		return nil, "", err
-	}
-	p, err := core.GatherChunks(src)
-	if err != nil {
-		src.Abort()
-		return nil, "", &core.TransportError{Op: "receive response", Err: err}
-	}
-	return p, ct, nil
+	return core.ReceiveWhole(ctx, b)
 }
 
 // muxSource reads one response off the binding's queue. The first chunk

@@ -14,11 +14,12 @@ const (
 	// ClientCheckout is the svcpool connection-checkout wait: free-list
 	// reuse, a fresh dial, or blocking for a slot under backpressure.
 	ClientCheckout
-	// ClientSend is Binding.SendRequest: framing plus the write side of
-	// the exchange.
+	// ClientSend is opening the request and writing its chunks: framing
+	// plus the write side of the exchange (and, for a streamed request,
+	// the interleaved encode).
 	ClientSend
-	// ClientWait is Binding.ReceiveResponse: the wire round trip plus the
-	// server's entire processing time.
+	// ClientWait is waiting for the response's first chunk: the wire round
+	// trip plus the server's entire processing time.
 	ClientWait
 	// ClientDecode is response parsing back into an envelope.
 	ClientDecode

@@ -179,51 +179,28 @@ func (b *Binding) Poisoned() bool {
 	return b.poisoned
 }
 
-// openRequest (under mu) readies the connection for one request. A context
-// deadline maps onto the connection's write deadline. Nothing is written
-// yet: writeChunk picks the wire form when it sees whether the first chunk
-// is the last.
-func (b *Binding) openRequest(ctx context.Context, contentType string) error {
+// SendRequestStream implements core.StreamBinding: it readies the
+// connection for one request. A context deadline maps onto the
+// connection's write deadline. Nothing is written yet: the sink picks the
+// wire form when it sees whether the first chunk is the last.
+func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (core.ChunkSink, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.poisoned {
-		return fmt.Errorf("tcpbind: %w", core.ErrBindingPoisoned)
+		return nil, fmt.Errorf("tcpbind: %w", core.ErrBindingPoisoned)
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := b.ensure(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := applyDeadline(ctx, b.conn.SetWriteDeadline); err != nil {
 		// A failed deadline set means the conn is already broken; without
 		// poisoning, the next exchange would run against it undeadlined.
-		return b.poison("set write deadline", err)
+		return nil, b.poison("set write deadline", err)
 	}
 	b.fw.begin(contentType)
-	return nil
-}
-
-// writeChunk (under mu) frames one chunk of the open request; p stays the
-// caller's.
-//
-//paylint:borrows
-func (b *Binding) writeChunk(p *core.Payload, last bool) error {
-	if b.poisoned {
-		return fmt.Errorf("tcpbind: %w", core.ErrBindingPoisoned)
-	}
-	if err := b.fw.write(b.bw, p.Bytes(), last); err != nil {
-		return b.poison("write frame", err)
-	}
-	b.obs.ChunkSent(p.Len(), last)
-	return nil
-}
-
-// SendRequestStream implements core.StreamBinding.
-func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (core.ChunkSink, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.openRequest(ctx, contentType); err != nil {
-		return nil, err
-	}
 	return &b.sink, nil
 }
 
@@ -233,22 +210,27 @@ func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (co
 //
 //paylint:borrows
 func (b *Binding) SendRequest(ctx context.Context, payload *core.Payload, contentType string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.openRequest(ctx, contentType); err != nil {
-		return err
-	}
-	return b.writeChunk(payload, true)
+	return core.SendWhole(ctx, b, payload, contentType)
 }
 
 type clientSink struct{ b *Binding }
 
+// WriteChunk frames one chunk of the open request.
+//
 //paylint:transfers
 func (s *clientSink) WriteChunk(p *core.Payload, last bool) error {
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
+	b := s.b
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	defer p.Release()
-	return s.b.writeChunk(p, last)
+	if b.poisoned {
+		return fmt.Errorf("tcpbind: %w", core.ErrBindingPoisoned)
+	}
+	if err := b.fw.write(b.bw, p.Bytes(), last); err != nil {
+		return b.poison("write frame", err)
+	}
+	b.obs.ChunkSent(p.Len(), last)
+	return nil
 }
 
 func (s *clientSink) Abort() {
@@ -296,21 +278,11 @@ func (b *Binding) ReceiveResponseStream(ctx context.Context) (core.ChunkSource, 
 }
 
 // ReceiveResponse implements core.Binding: the response as one payload the
-// caller owns — the response's only chunk itself when the server framed it
-// whole, a gathered copy (bounded by MaxFrameSize) when it streamed.
+// caller owns (see core.ReceiveWhole).
 //
 //paylint:returns owned
 func (b *Binding) ReceiveResponse(ctx context.Context) (*core.Payload, string, error) {
-	src, ct, err := b.ReceiveResponseStream(ctx)
-	if err != nil {
-		return nil, "", err
-	}
-	p, err := core.GatherChunks(src)
-	if err != nil {
-		src.Abort()
-		return nil, "", &core.TransportError{Op: "receive response", Err: err}
-	}
-	return p, ct, nil
+	return core.ReceiveWhole(ctx, b)
 }
 
 // clientSource yields the response in flight: the chunk
