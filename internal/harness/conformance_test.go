@@ -14,6 +14,7 @@ import (
 	"bxsoap/internal/bxdm"
 	"bxsoap/internal/core"
 	"bxsoap/internal/httpbind"
+	"bxsoap/internal/svcpool"
 	"bxsoap/internal/tcpbind"
 	"bxsoap/internal/vls"
 	"bxsoap/internal/wssec"
@@ -89,10 +90,7 @@ type confBinding struct {
 	name   string
 	listen func(net.Listener) core.ServerBinding
 	dial   func(addr string) core.Binding
-	// streamedRequestIsChunked: the client's streamed face always uses the
-	// chunked form, whatever the message size (httpbind's pipe-fed POST).
-	streamedRequestIsChunked bool
-	check                    func(t *testing.T, what string, raw []byte, request, oneChunk bool, ct string, body []byte)
+	check  func(t *testing.T, what string, raw []byte, request, oneChunk bool, ct string, body []byte)
 }
 
 var confBindings = []confBinding{
@@ -119,10 +117,9 @@ var confBindings = []confBinding{
 		},
 	},
 	{
-		name:                     "httpbind",
-		listen:                   func(l net.Listener) core.ServerBinding { return httpbind.NewListener(l) },
-		dial:                     func(addr string) core.Binding { return httpbind.New(nil, "http://"+addr+"/soap") },
-		streamedRequestIsChunked: true,
+		name:   "httpbind",
+		listen: func(l net.Listener) core.ServerBinding { return httpbind.NewListener(l) },
+		dial:   func(addr string) core.Binding { return httpbind.New(nil, "http://"+addr+"/soap") },
 		check: func(t *testing.T, what string, raw []byte, request, oneChunk bool, ct string, body []byte) {
 			t.Helper()
 			var length int64
@@ -185,17 +182,26 @@ func TestConformanceTable(t *testing.T) {
 	runConformance(t, "Secured[BXSA]", wssec.Secure(core.BXSAEncoding{}, []byte("0123456789abcdef")), true)
 }
 
+// confClients are the client modes: the engine's own entry points, and
+// svcpool.Pool.Call over a buffered engine (the encode-once CallPayload
+// replay) and over a windowed one (CallStream per attempt).
+var confClients = []struct {
+	name             string
+	streamed, pooled bool
+}{
+	{"Call", false, false},
+	{"CallStream", true, false},
+	{"Pool.Call/buffered-engine", false, true},
+	{"Pool.Call/windowed-engine", true, true},
+}
+
 func runConformance[E core.Encoding](t *testing.T, encName string, enc E, windowedIsMany bool) {
 	for _, bind := range confBindings {
-		for _, streamedClient := range []bool{false, true} {
+		for _, client := range confClients {
+			streamedClient := client.streamed
 			for _, serverWindow := range []int{0, confWindow} {
 				for _, many := range []bool{false, true} {
-					name := bind.name + "/" + encName
-					if streamedClient {
-						name += "/CallStream"
-					} else {
-						name += "/Call"
-					}
+					name := bind.name + "/" + encName + "/" + client.name
 					if serverWindow > 0 {
 						name += "/server-windowed"
 					} else {
@@ -210,9 +216,9 @@ func runConformance[E core.Encoding](t *testing.T, encName string, enc E, window
 						// A windowed encode is one chunk only when the message
 						// fits the window and the encoding adds no framing chunks.
 						windowedOne := !many && !windowedIsMany
-						reqOne := !streamedClient || (windowedOne && !bind.streamedRequestIsChunked)
+						reqOne := !streamedClient || windowedOne
 						respOne := serverWindow == 0 || windowedOne
-						conformCell(t, bind, enc, streamedClient, serverWindow, many, reqOne, respOne)
+						conformCell(t, bind, enc, streamedClient, client.pooled, serverWindow, many, reqOne, respOne)
 					})
 				}
 			}
@@ -220,7 +226,7 @@ func runConformance[E core.Encoding](t *testing.T, encName string, enc E, window
 	}
 }
 
-func conformCell[E core.Encoding](t *testing.T, bind confBinding, enc E, streamedClient bool, serverWindow int, many, reqOne, respOne bool) {
+func conformCell[E core.Encoding](t *testing.T, bind confBinding, enc E, streamedClient, pooled bool, serverWindow int, many, reqOne, respOne bool) {
 	baseline := core.PayloadsInUse()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -240,13 +246,26 @@ func conformCell[E core.Encoding](t *testing.T, bind confBinding, enc E, streame
 	if streamedClient {
 		engOpts = append(engOpts, core.WithStreaming(confWindow))
 	}
-	eng := core.NewEngine(enc, bind.dial(l.Addr().String()), engOpts...)
+	newEngine := func() *core.Engine[E, core.Binding] {
+		return core.NewEngine(enc, bind.dial(l.Addr().String()), engOpts...)
+	}
 	req := confMessage(many)
 	var resp *core.Envelope
-	if streamedClient {
+	switch {
+	case pooled:
+		pool := svcpool.New(func(context.Context) (*core.Engine[E, core.Binding], error) {
+			return newEngine(), nil
+		}, svcpool.Config{MaxConns: 1})
+		resp, err = pool.Call(context.Background(), req)
+		pool.Close()
+	case streamedClient:
+		eng := newEngine()
 		resp, err = eng.CallStream(context.Background(), req)
-	} else {
+		eng.Close()
+	default:
+		eng := newEngine()
 		resp, err = eng.Call(context.Background(), req)
+		eng.Close()
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -255,10 +274,9 @@ func conformCell[E core.Encoding](t *testing.T, bind confBinding, enc E, streame
 	if !resp.Equal(want) {
 		t.Error("echoed tree differs from the request's")
 	}
-	eng.Close()
 	srv.Close()
 
-	codec := eng.Codec()
+	codec := core.NewCodec(enc)
 	reqBody, err := codec.EncodeBytes(req)
 	if err != nil {
 		t.Fatal(err)
