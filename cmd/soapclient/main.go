@@ -48,7 +48,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8701", "server address")
 	n := flag.Int("n", 1000, "model size (number of (double,int) pairs)")
 	calls := flag.Int("calls", 5, "number of invocations to time")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-call deadline")
+	timeout := flag.Duration("timeout", 30*time.Second, "deadline per attempt; the pool retries a failed attempt under a fresh deadline")
 	flag.Parse()
 	if err := c.Validate(); err != nil {
 		log.Fatalf("soapclient: %v", err)

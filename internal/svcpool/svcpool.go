@@ -348,7 +348,7 @@ func (p *Pool[E, B]) tryOnce(ctx context.Context, op func(context.Context, *core
 	return false, err
 }
 
-// attempt checks out a connection, runs one exchange under the per-call
+// attempt checks out a connection, runs one exchange under the per-attempt
 // deadline, and routes the connection back by health: transport-class
 // failures retire it (never handed out again), everything else returns it
 // to the free list.
