@@ -91,11 +91,12 @@ func (v templatesOption) applyServer(c *serverConfig) { c.templates = v.capacity
 // WithTemplates enables the shape-keyed template cache: up to capacity
 // message shapes are compiled into byte-level encode/decode plans, and
 // repeated shapes skip the generic tree walk entirely (capacity <= 0 picks
-// a default). The option is a no-op when the encoding does not implement
-// TemplateCompiler (e.g. wssec-wrapped policies), and any shape the
-// compiler cannot prove faithful falls back to the generic path — enabling
-// templates never changes bytes on the wire or decoded trees. Off by
-// default.
+// a default). A shape is compiled on its second sighting among the last
+// capacity unplanned shapes, so one-off shapes stay generic. The option is
+// a no-op when the encoding does not implement TemplateCompiler (e.g.
+// wssec-wrapped policies), and any shape the compiler cannot prove
+// faithful falls back to the generic path — enabling templates never
+// changes bytes on the wire or decoded trees. Off by default.
 func WithTemplates(capacity int) Option { return templatesOption{capacity} }
 
 type streamingOption struct{ chunkBytes int }

@@ -4,8 +4,9 @@ package core
 // builds and walks a bXDM tree for every message, but production traffic is
 // a handful of message *shapes* repeated millions of times — the paper's
 // TerraService regime, where schema knowledge (XBS) is what lets a stack
-// skip generic work on the hot path. The plan cache realizes that: the
-// first message of a shape is encoded generically and compiled into a
+// skip generic work on the hot path. The plan cache realizes that: a
+// shape's first message is only recorded, and a second message of it
+// within the admission window is encoded generically and compiled into a
 // byte-level Template (skeleton + variable windows for BXSA, static
 // segments for XML) plus a decoded shape.Proto; every later same-shaped
 // message is a skeleton splice on encode and a segment match + arena
@@ -70,6 +71,13 @@ type planEntry struct {
 // codec without plans stays on the generic path at zero cost, and the
 // observer honors the obs nil-sink contract.
 //
+// Admission is a doorkeeper: ring holds the last capacity unplanned shape
+// keys, and only a key already in it is compiled. The ring is sized at
+// capacity because under LRU a shape that does not recur within capacity
+// misses would be evicted before its next hit anyway; so a one-off shape
+// costs no compile and never evicts a plan that has hits. Deferred first
+// sightings are templates.misses minus templates.compiles.
+//
 //paylint:nil-sink planCache
 type planCache struct {
 	compiler TemplateCompiler
@@ -78,6 +86,8 @@ type planCache struct {
 	clock    atomic.Int64
 	entries  atomic.Pointer[map[shape.Key]*planEntry]
 	mu       sync.Mutex
+	ring     []shape.Key // guarded by mu
+	next     int         // guarded by mu; the ring's oldest slot
 	varsPool sync.Pool
 }
 
@@ -85,7 +95,29 @@ func newPlanCache(tc TemplateCompiler, capacity int, o *obs.Observer) *planCache
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &planCache{compiler: tc, capacity: capacity, obs: o}
+	return &planCache{
+		compiler: tc,
+		capacity: capacity,
+		obs:      o,
+		ring:     make([]shape.Key, capacity),
+	}
+}
+
+// admit reports whether key is in the doorkeeper ring, clearing its slot
+// if so; otherwise it records the sighting over the oldest slot. The scan
+// is as long as the cache, like store's, and runs only on a miss.
+func (pc *planCache) admit(key shape.Key) bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for i, k := range pc.ring {
+		if k == key {
+			pc.ring[i] = shape.Key{}
+			return true
+		}
+	}
+	pc.ring[pc.next] = key
+	pc.next = (pc.next + 1) % len(pc.ring)
+	return false
 }
 
 func (pc *planCache) getVars() *[]shape.Var {
@@ -154,7 +186,8 @@ func (pc *planCache) store(entry *planEntry) {
 }
 
 // compile builds the plan for key from a representative envelope and
-// stores it; on any failure it stores a negative entry instead, so the
+// stores it, once admit has seen key before; a first sighting is only
+// recorded. On any failure it stores a negative entry instead, so the
 // attempt is never repaid per message. The compiled plan is validated
 // before use: the template must re-encode the representative byte-for-byte
 // from its fingerprint vars, and its Match + Proto.Instantiate must
@@ -163,7 +196,7 @@ func (pc *planCache) store(entry *planEntry) {
 // (entity expansion, whitespace drops, hint stripping) a compile-time
 // rejection instead of a wrong tree at runtime.
 func (pc *planCache) compile(enc Encoding, key shape.Key, env *Envelope) {
-	if pc == nil {
+	if pc == nil || !pc.admit(key) {
 		return
 	}
 	entry := &planEntry{key: key}
@@ -254,9 +287,10 @@ func (pc *planCache) matchDecode(data []byte) *Envelope {
 }
 
 // observeDecoded learns shapes from the decode side: after a generic
-// decode, an unknown shape is compiled from the decoded envelope so the
-// next message of it matches. Called off the decode result, so the
-// envelope is still exclusively owned here.
+// decode, an unknown shape goes through compile's admission, so its
+// second sighting compiles from the decoded envelope and the next message
+// of it matches. Called off the decode result, so the envelope is still
+// exclusively owned here.
 func (pc *planCache) observeDecoded(enc Encoding, env *Envelope) {
 	if pc == nil {
 		return

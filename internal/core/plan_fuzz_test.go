@@ -138,3 +138,35 @@ func FuzzPlanRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPlanAdmittedSplice reaches the encode splice under admission: a
+// shape's first encode is only recorded and its second compiles, so the
+// third is the first that can take the templated path.
+func FuzzPlanAdmittedSplice(f *testing.F) {
+	f.Add([]byte{3, 0, 3, 4, 1, 2, 0, 1, 5, 6, 7})
+	f.Add([]byte{2, 1, 4, 3, 2, 5, 2, 0xff, 0xff, 0xff})
+	f.Add([]byte{4, 0, 6, 2, 1, 1, 3, 3, 3, 3, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env := envFromFuzz(data)
+		for _, enc := range []Encoding{BXSAEncoding{}, XMLEncoding{}} {
+			gen := NewCodec[Encoding](enc)
+			tpl := newTemplatedCodec(enc, 8, nil)
+			want, err := gen.EncodePayload(env)
+			if err != nil {
+				t.Fatalf("%s: generic encode: %v", enc.Name(), err)
+			}
+			for pass := 0; pass < 3; pass++ {
+				got, err := tpl.EncodePayload(env)
+				if err != nil {
+					t.Fatalf("%s pass %d: templated encode: %v", enc.Name(), pass, err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("%s pass %d: templated encode differs\n got %q\nwant %q",
+						enc.Name(), pass, got.Bytes(), want.Bytes())
+				}
+				got.Release()
+			}
+			want.Release()
+		}
+	})
+}

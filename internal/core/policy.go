@@ -237,8 +237,9 @@ func (c Codec[E]) encodeGeneric(e *Envelope) (*Payload, error) {
 
 // encodeTemplated consults the plan cache before falling back to the
 // generic walk. Cache misses encode generically first (so a compile
-// failure costs nothing extra) and compile the shape afterwards; splice
-// errors demote to the generic path for this call only.
+// failure costs nothing extra) and then offer the shape to compile, which
+// compiles it only on its second sighting; splice errors demote to the
+// generic path for this call only.
 //
 //paylint:returns owned
 func (c Codec[E]) encodeTemplated(e *Envelope) (*Payload, error) {

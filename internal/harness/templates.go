@@ -61,10 +61,12 @@ func TemplateBreakdown(cfg StageConfig) ([]StageResult, error) {
 			if err := u.Setup(nw, ""); err != nil {
 				return nil, fmt.Errorf("%s: setup: %w", u.Name(), err)
 			}
-			// Two warm-up calls: the first compiles the request and reply
-			// shapes on their respective sides, the second verifies the
-			// templated steady state before anything is measured.
-			for w := 0; w < 2; w++ {
+			// Three warm-up calls: the first records the request and reply
+			// shapes as first sightings, the second compiles them on their
+			// respective sides (plan admission compiles a shape on its
+			// second sighting), the third verifies the templated steady
+			// state before anything is measured.
+			for w := 0; w < 3; w++ {
 				if _, err := u.Invoke(m); err != nil {
 					u.Teardown()
 					return nil, fmt.Errorf("%s: warm-up: %w", u.Name(), err)

@@ -57,10 +57,11 @@ func benchTemplatedRoundTrip[E core.Encoding](b *testing.B, enc E, transport str
 		}
 	}()
 	env := core.NewEnvelope(dataset.Generate(size).Element())
-	// Two warm-ups: the first dials and compiles the request shape on the
-	// server plus the response shape on the client, the second settles the
-	// caches so the measured loop is pure steady state.
-	for w := 0; w < 2; w++ {
+	// Three warm-ups: the first dials and records the request and response
+	// shapes as first sightings on both sides, the second compiles them
+	// (plan admission compiles a shape on its second sighting), and the
+	// third settles the caches so the measured loop is pure steady state.
+	for w := 0; w < 3; w++ {
 		if _, err := call(env); err != nil {
 			b.Fatal(err)
 		}
