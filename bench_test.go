@@ -279,20 +279,20 @@ func BenchmarkAblationPolicyDispatch(b *testing.B) {
 
 	encodeStatic := func(b *testing.B) {
 		enc := core.BXSAEncoding{} // concrete type, direct calls
-		var buf bytes.Buffer
+		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(&buf, doc); err != nil {
+			var err error
+			if buf, err = enc.AppendEncode(buf[:0], doc); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	encodeDynamic := func(b *testing.B) {
 		var enc core.Encoding = core.BXSAEncoding{} // interface dispatch
-		var buf bytes.Buffer
+		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(&buf, doc); err != nil {
+			var err error
+			if buf, err = enc.AppendEncode(buf[:0], doc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,7 +2,6 @@ package bxsa
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 
@@ -47,16 +46,6 @@ func MarshalAppend(dst []byte, n bxdm.Node, opts EncodeOptions) ([]byte, error) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// Encode serializes a bXDM tree to w.
-func Encode(w io.Writer, n bxdm.Node, opts EncodeOptions) error {
-	data, err := Marshal(n, opts)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }
 
 // EncodeChunked serializes a bXDM tree as a sequence of byte windows of

@@ -307,9 +307,9 @@ func ackLooksLikeFault(payload []byte) bool {
 func (e *Engine[E, B]) Close() error { return e.bind.Close() }
 
 // bufferedFace is the stream face of a Binding that has only the buffered
-// one, as EncodeChunksOf's fallback is for an encoding: a request is its one
-// last chunk and the reply its one chunk. The engine runs such a binding at
-// window 0, so its sink never sees a first chunk that is not the last.
+// one: a request is its one last chunk and the reply its one chunk. The
+// engine runs such a binding at window 0, so its sink never sees a first
+// chunk that is not the last.
 type bufferedFace struct{ Binding }
 
 func (f bufferedFace) SendRequestStream(ctx context.Context, contentType string) (ChunkSink, error) {

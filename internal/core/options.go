@@ -104,9 +104,11 @@ type streamingOption struct{ chunkBytes int }
 func (v streamingOption) applyEngine(c *engineConfig) { c.chunkBytes = normChunkBytes(v.chunkBytes) }
 func (v streamingOption) applyServer(c *serverConfig) { c.chunkBytes = normChunkBytes(v.chunkBytes) }
 
-// normChunkBytes resolves the WithStreaming argument: the zero value means
-// "streaming on, default window", so the stored config is nonzero exactly
-// when the option was given.
+// normChunkBytes is the one window rule, for the WithStreaming argument and
+// the base encodings' EncodeChunks alike: a non-positive size means
+// DefaultChunkBytes. For the option, the zero value thus means "streaming
+// on, default window", so the stored config is nonzero exactly when the
+// option was given.
 func normChunkBytes(n int) int {
 	if n <= 0 {
 		return DefaultChunkBytes

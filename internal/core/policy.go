@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -26,22 +24,27 @@ type Encoding interface {
 	Name() string
 	// ContentType is the MIME type the binding should advertise.
 	ContentType() string
-	// Encode serializes a bXDM document (the visitor direction).
-	Encode(w io.Writer, doc *bxdm.Document) error
 	// AppendEncode serializes doc by appending to dst, returning the
-	// extended slice. This is the pipeline's zero-copy path: the engine
-	// hands in a pooled payload buffer and the codec fills it in place,
-	// with no intermediate bytes.Buffer.
+	// extended slice (the visitor direction). This is the pipeline's
+	// zero-copy path: the engine hands in a pooled payload buffer and the
+	// codec fills it in place, with no intermediate bytes.Buffer.
 	AppendEncode(dst []byte, doc *bxdm.Document) ([]byte, error)
 	// Decode parses an encoded document back into bXDM (the factory
 	// direction). The input bytes are not retained: callers may recycle
 	// the buffer as soon as Decode returns.
 	Decode(data []byte) (*bxdm.Document, error)
-	// DecodeFrom parses one encoded document from r. size is the encoded
-	// length when the transport knows it (Content-Length, frame header),
-	// -1 otherwise; implementations use it to draw a right-sized pooled
-	// buffer instead of ReadAll-style doubling.
-	DecodeFrom(r io.Reader, size int64) (*bxdm.Document, error)
+	// EncodeChunks serializes doc into sink as chunks of roughly chunkBytes
+	// each, ending with one last=true chunk; a non-positive chunkBytes
+	// means DefaultChunkBytes. The concatenated chunks are byte-identical
+	// to AppendEncode's output, so streamed and buffered peers interoperate
+	// at the bytes level. On error the sink is left unfinished and the
+	// caller aborts it, so wrapping policies (wssec) compose without
+	// double-aborting.
+	EncodeChunks(doc *bxdm.Document, chunkBytes int, sink ChunkSink) error
+	// DecodeChunks parses one message from src, consuming chunks as the
+	// parse advances. On success the last chunk has been consumed; on error
+	// the caller aborts the source.
+	DecodeChunks(src ChunkSource) (*bxdm.Document, error)
 }
 
 // XMLEncoding is the textual XML 1.0 encoding policy. Type hints are always
@@ -60,11 +63,6 @@ func (XMLEncoding) Name() string { return "XML" }
 // ContentType implements Encoding.
 func (XMLEncoding) ContentType() string { return "text/xml; charset=utf-8" }
 
-// Encode implements Encoding.
-func (x XMLEncoding) Encode(w io.Writer, doc *bxdm.Document) error {
-	return xmltext.Encode(w, doc, xmltext.EncodeOptions{TypeHints: !x.PlainStrings})
-}
-
 // AppendEncode implements Encoding.
 func (x XMLEncoding) AppendEncode(dst []byte, doc *bxdm.Document) ([]byte, error) {
 	return xmltext.AppendEncode(dst, doc, xmltext.EncodeOptions{TypeHints: !x.PlainStrings})
@@ -76,11 +74,6 @@ func (x XMLEncoding) Decode(data []byte) (*bxdm.Document, error) {
 		RecoverTypes:               !x.PlainStrings,
 		DropInterElementWhitespace: true,
 	})
-}
-
-// DecodeFrom implements Encoding.
-func (x XMLEncoding) DecodeFrom(r io.Reader, size int64) (*bxdm.Document, error) {
-	return decodeStream(x, r, size)
 }
 
 // CompileTemplate implements TemplateCompiler. Hintless XML (PlainStrings)
@@ -105,11 +98,6 @@ func (BXSAEncoding) Name() string { return "BXSA" }
 // ContentType implements Encoding.
 func (BXSAEncoding) ContentType() string { return "application/x-bxsa" }
 
-// Encode implements Encoding.
-func (b BXSAEncoding) Encode(w io.Writer, doc *bxdm.Document) error {
-	return bxsa.Encode(w, doc, bxsa.EncodeOptions{Order: b.Order})
-}
-
 // AppendEncode implements Encoding. BXSA measures before it emits, so the
 // destination is grown to the exact encoded size in one step.
 func (b BXSAEncoding) AppendEncode(dst []byte, doc *bxdm.Document) ([]byte, error) {
@@ -121,11 +109,6 @@ func (BXSAEncoding) Decode(data []byte) (*bxdm.Document, error) {
 	return bxsa.ParseDocument(data)
 }
 
-// DecodeFrom implements Encoding.
-func (b BXSAEncoding) DecodeFrom(r io.Reader, size int64) (*bxdm.Document, error) {
-	return decodeStream(b, r, size)
-}
-
 // CompileTemplate implements TemplateCompiler: BXSA's shape-deterministic
 // layout compiles to a fixed-window skeleton splice.
 func (b BXSAEncoding) CompileTemplate(doc *bxdm.Document) (Template, error) {
@@ -134,20 +117,6 @@ func (b BXSAEncoding) CompileTemplate(doc *bxdm.Document) (Template, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// decodeStream is the shared DecodeFrom shape for encodings whose parsers
-// want the whole message in memory: read into a pooled payload sized by the
-// transport's length knowledge, decode, release. Both shipped parsers copy
-// what they keep out of the input, so the buffer can recycle immediately.
-func decodeStream(enc Encoding, r io.Reader, size int64) (*bxdm.Document, error) {
-	p, err := ReadPayload(r, size, 0)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := enc.Decode(p.Bytes())
-	p.Release()
-	return doc, err
 }
 
 // sizeHints carries a per-encoding running estimate of encoded message
@@ -282,11 +251,7 @@ func (c Codec[E]) encodeTemplated(e *Envelope) (*Payload, error) {
 // EncodeBytes serializes an envelope into a fresh byte slice (the
 // non-pooled path, for callers that keep the bytes).
 func (c Codec[E]) EncodeBytes(e *Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.enc.Encode(&buf, e.Document()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return c.enc.AppendEncode(nil, e.Document())
 }
 
 // DecodeEnvelope parses encoded bytes back into an envelope. The input is

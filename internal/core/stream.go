@@ -8,6 +8,7 @@ import (
 	"bxsoap/internal/bxdm"
 	"bxsoap/internal/bxsa"
 	"bxsoap/internal/obs"
+	"bxsoap/internal/xmltext"
 )
 
 // This file is the chunk seam of the codec API (grounded in "Non-Blocking
@@ -33,10 +34,10 @@ import (
 //   - Abort is idempotent and safe after any prefix of the sequence; after
 //     the complete sequence it is a no-op (the stream position is known).
 
-// DefaultChunkBytes is the chunk window used when WithStreaming is given a
-// non-positive size: large enough that per-chunk framing overhead vanishes,
-// small enough that a handful of in-flight chunks stay well under the
-// 16 MiB pipeline budget.
+// DefaultChunkBytes is the chunk window used when WithStreaming or an
+// Encoding's EncodeChunks is given a non-positive size: large enough that
+// per-chunk framing overhead vanishes, small enough that a handful of
+// in-flight chunks stay well under the 16 MiB pipeline budget.
 const DefaultChunkBytes = 256 << 10
 
 // ChunkSink receives one message as an ordered chunk sequence.
@@ -62,25 +63,6 @@ type ChunkSource interface {
 	// Abort abandons the rest of the message. The underlying stream is
 	// unusable for further messages and the transport poisons it.
 	Abort()
-}
-
-// StreamEncoding is the optional streaming face of an Encoding: policies
-// that implement it encode and decode messages as bounded chunk windows
-// instead of materialized buffers. The chunked byte stream is the
-// concatenation of the chunks and — for the base encodings — is
-// byte-identical to AppendEncode's output, so buffered and streamed peers
-// interoperate at the bytes level (fuzz-verified; wssec's streamed frame
-// differs deliberately, see its package doc).
-type StreamEncoding interface {
-	Encoding
-	// EncodeChunks serializes doc into sink as chunks of roughly chunkBytes
-	// each, ending with a last=true chunk. On error the sink is left
-	// unfinished; the caller aborts it (EncodeChunksOf's contract).
-	EncodeChunks(doc *bxdm.Document, chunkBytes int, sink ChunkSink) error
-	// DecodeChunks parses one message from src, consuming chunks as the
-	// parse advances. On success the last chunk has been consumed; on error
-	// the caller aborts the source.
-	DecodeChunks(src ChunkSource) (*bxdm.Document, error)
 }
 
 // StreamBinding is the chunk face of a client Binding, the one every
@@ -133,56 +115,6 @@ func ReceiveWhole(ctx context.Context, sb StreamBinding) (*Payload, string, erro
 		return nil, "", &TransportError{Op: "receive response", Err: err}
 	}
 	return p, ct, nil
-}
-
-// EncodeChunksOf streams doc through enc into sink. Encodings implementing
-// StreamEncoding stream natively with bounded memory; any other encoding is
-// buffered through AppendEncode and delivered as one chunk (the documented
-// fallback: correctness everywhere, bounded memory where the codec
-// cooperates). The sink is NOT aborted on error — the caller owns failure
-// handling, so wrapping policies (wssec) can compose this without
-// double-aborting.
-func EncodeChunksOf(enc Encoding, doc *bxdm.Document, chunkBytes int, sink ChunkSink) error {
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkBytes
-	}
-	if se, ok := enc.(StreamEncoding); ok {
-		return se.EncodeChunks(doc, chunkBytes, sink)
-	}
-	name := enc.Name()
-	p := NewPayload(sizeHintFor(name))
-	out, err := enc.AppendEncode(p.buf, doc)
-	if err != nil {
-		p.Release()
-		return err
-	}
-	p.buf = out
-	recordSizeHint(name, len(out))
-	return sink.WriteChunk(p, true)
-}
-
-// DecodeChunksOf parses one message from src via enc. Encodings
-// implementing StreamEncoding consume chunks incrementally; others gather
-// the sequence into one pooled buffer first (the fallback matrix's other
-// half). The source is NOT aborted on error — the caller owns failure
-// handling.
-func DecodeChunksOf(enc Encoding, src ChunkSource) (*bxdm.Document, error) {
-	if se, ok := enc.(StreamEncoding); ok {
-		return se.DecodeChunks(src)
-	}
-	return gatherDecode(enc, src)
-}
-
-// gatherDecode is the gathered fallback: the whole message in one pooled
-// payload (bounded by GatherChunks), then the buffered parser.
-func gatherDecode(enc Encoding, src ChunkSource) (*bxdm.Document, error) {
-	p, err := GatherChunks(src)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := enc.Decode(p.Bytes())
-	p.Release()
-	return doc, err
 }
 
 // ResumeSource returns a source that yields p — a chunk already read off
@@ -266,21 +198,21 @@ func gatherChunks(src ChunkSource, limit int) (*Payload, error) {
 	}
 }
 
-// EncodeChunks implements StreamEncoding: the BXSA emit pass spills its
-// output windows into pooled chunks as it goes, so memory is bounded by the
-// chunk window while the bytes stay identical to AppendEncode (the measure
-// pass still runs first — it is O(nodes), which is what keeps first-byte
-// latency independent of array payload size).
+// EncodeChunks implements Encoding: the BXSA emit pass spills its output
+// windows into pooled chunks as it goes, so memory is bounded by the chunk
+// window while the bytes stay identical to AppendEncode (the measure pass
+// still runs first — it is O(nodes), which is what keeps first-byte latency
+// independent of array payload size).
 func (b BXSAEncoding) EncodeChunks(doc *bxdm.Document, chunkBytes int, sink ChunkSink) error {
 	em := chunkEmitter{sink: sink}
-	if err := bxsa.EncodeChunked(doc, bxsa.EncodeOptions{Order: b.Order}, chunkBytes, em.emit); err != nil {
+	if err := bxsa.EncodeChunked(doc, bxsa.EncodeOptions{Order: b.Order}, normChunkBytes(chunkBytes), em.emit); err != nil {
 		em.discard()
 		return err
 	}
 	return em.finish()
 }
 
-// DecodeChunks implements StreamEncoding via the reader-based BXSA decoder:
+// DecodeChunks implements Encoding via the reader-based BXSA decoder:
 // chunks are consumed (and their pooled buffers recycled) as the parse
 // advances through the frame tree.
 func (b BXSAEncoding) DecodeChunks(src ChunkSource) (*bxdm.Document, error) {
@@ -290,13 +222,13 @@ func (b BXSAEncoding) DecodeChunks(src ChunkSource) (*bxdm.Document, error) {
 	return doc, err
 }
 
-// EncodeChunks implements StreamEncoding: the XML writer already emits
-// element-at-a-time through its sink, so streaming is the plain Encode path
+// EncodeChunks implements Encoding: the XML writer already emits
+// element-at-a-time through an io.Writer, so streaming is xmltext.Encode
 // pointed at a chunking writer.
 func (x XMLEncoding) EncodeChunks(doc *bxdm.Document, chunkBytes int, sink ChunkSink) error {
 	em := chunkEmitter{sink: sink}
-	cw := chunkingWriter{em: &em, chunkBytes: chunkBytes}
-	if err := x.Encode(&cw, doc); err != nil {
+	cw := chunkingWriter{em: &em, chunkBytes: normChunkBytes(chunkBytes)}
+	if err := xmltext.Encode(&cw, doc, xmltext.EncodeOptions{TypeHints: !x.PlainStrings}); err != nil {
 		em.discard()
 		return err
 	}
@@ -307,12 +239,20 @@ func (x XMLEncoding) EncodeChunks(doc *bxdm.Document, chunkBytes int, sink Chunk
 	return em.finish()
 }
 
-// DecodeChunks implements StreamEncoding. The XML parser needs the whole
-// document in memory (namespace scoping is resolved on a second pass over
-// the token buffer), so the decode half of the XML policy is the gathered
-// fallback — documented in the DESIGN.md fallback matrix.
+// DecodeChunks implements Encoding as a gathered decode: the whole message
+// in one pooled payload (bounded by GatherChunks), then the buffered parser
+// — documented in the DESIGN.md fallback matrix. The parser is one pass,
+// but it is tied to a whole buffer by its direct p.data[p.pos] indexing,
+// the bytes.Index lookaheads for comment, CDATA and PI ends, and
+// tryFastArray's rewind to the array's start on fallback.
 func (x XMLEncoding) DecodeChunks(src ChunkSource) (*bxdm.Document, error) {
-	return gatherDecode(x, src)
+	p, err := GatherChunks(src)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := x.Decode(p.Bytes())
+	p.Release()
+	return doc, err
 }
 
 // chunkEmitter turns byte windows into owned pooled chunks with one window
@@ -444,7 +384,7 @@ func (r *chunkReader) discard() {
 // and the caller aborts it.
 func (c Codec[E]) EncodeChunks(e *Envelope, chunkBytes int, sink ChunkSink) error {
 	if chunkBytes > 0 {
-		return EncodeChunksOf(c.enc, e.Document(), chunkBytes, sink)
+		return c.enc.EncodeChunks(e.Document(), chunkBytes, sink)
 	}
 	p, err := c.EncodePayload(e)
 	if err != nil {
@@ -468,7 +408,7 @@ func (c Codec[E]) DecodeChunks(src ChunkSource) (*Envelope, error) {
 		return env, err
 	}
 	rs := resumedSource{p: first, src: src}
-	doc, err := DecodeChunksOf(c.enc, &rs)
+	doc, err := c.enc.DecodeChunks(&rs)
 	rs.drop()
 	if err != nil {
 		return nil, err
@@ -512,9 +452,6 @@ func (s countingSource) ReadChunk() (*Payload, bool, error) {
 
 func (s countingSource) Abort() { s.src.Abort() }
 
-// pipeSource/pipeSink are the in-process chunk pipe used by tests and the
-// gathered fallbacks of in-process compositions: a bounded queue whose
-// capacity is the chunk window, with Abort propagating to the other end.
 type pipeChunk struct {
 	p    *Payload
 	last bool
@@ -588,9 +525,3 @@ func (p *ChunkPipe) Abort() {
 		}
 	}
 }
-
-// Compile-time checks that the shipped encodings stream.
-var (
-	_ StreamEncoding = BXSAEncoding{}
-	_ StreamEncoding = XMLEncoding{}
-)

@@ -12,33 +12,27 @@ import (
 )
 
 // Streamed signing (the non-blocking mode, after "Non-Blocking Signature of
-// very large SOAP Messages"): instead of buffering the envelope to compute
-// the tag up front (BXS1 puts it in the header), the streamed frame is
+// very large SOAP Messages"): the frame goes out as
 //
-//	[ "BXS2" chunk | inner chunk stream, HMAC'd as it passes | 32-byte tag chunk (last) ]
+//	[ magic chunk | inner chunk stream, HMAC'd as it passes | 32-byte tag chunk (last) ]
 //
 // so the first payload byte reaches the wire before the signature — or even
 // the full message — exists. Inner chunks are forwarded zero-copy; only the
 // rolling HMAC touches their bytes. The receive side forwards inner bytes
 // to the inner decoder as they arrive, holds back the trailing 32 bytes,
 // and compares the rolling HMAC against them once the stream ends —
-// DecodeChunks never returns a document that failed verification.
-//
-// The streamed bytes deliberately differ from BXS1 (the tag cannot lead
-// data it signs without buffering), so the two forms are distinguished by
-// magic: DecodeChunks accepts either, which is what lets a streaming
-// server interoperate with buffered clients.
-var magic2 = []byte("BXS2")
+// DecodeChunks never returns a document that failed verification. The
+// concatenated chunks are AppendEncode's bytes.
 
-// EncodeChunks implements core.StreamEncoding.
+// EncodeChunks implements core.Encoding.
 func (s Secured[E]) EncodeChunks(doc *bxdm.Document, chunkBytes int, sink core.ChunkSink) error {
-	m := core.NewPayload(len(magic2))
-	m.Write(magic2)
+	m := core.NewPayload(len(magic))
+	m.Write(magic)
 	if err := sink.WriteChunk(m, false); err != nil {
 		return err
 	}
 	ss := signingSink{sink: sink, mac: hmac.New(sha256.New, s.Key)}
-	if err := core.EncodeChunksOf(s.Inner, doc, chunkBytes, ss); err != nil {
+	if err := s.Inner.EncodeChunks(doc, chunkBytes, ss); err != nil {
 		return err
 	}
 	tag := core.NewPayload(sha256.Size)
@@ -62,11 +56,8 @@ func (s signingSink) WriteChunk(p *core.Payload, last bool) error {
 
 func (s signingSink) Abort() { s.sink.Abort() }
 
-// DecodeChunks implements core.StreamEncoding. The first four bytes pick
-// the frame form: BXS2 verifies the rolling HMAC as inner bytes stream
-// through to the inner decoder; BXS1 (a buffered peer's message arriving
-// through a chunked transport) gathers — bounded by core.GatherChunks — and
-// takes the buffered verify path.
+// DecodeChunks implements core.Encoding: after the magic, the rolling HMAC
+// is verified as inner bytes stream through to the inner decoder.
 func (s Secured[E]) DecodeChunks(src core.ChunkSource) (*bxdm.Document, error) {
 	head, last, err := src.ReadChunk()
 	if err == nil && !last && head.Len() < len(magic) {
@@ -88,22 +79,16 @@ func (s Secured[E]) DecodeChunks(src core.ChunkSource) (*bxdm.Document, error) {
 		head.Release()
 		return nil, err
 	}
-	if !bytes.HasPrefix(head.Bytes(), magic2) {
-		// BXS1, or no frame at all: Decode tells them apart.
-		p, err := core.GatherChunks(core.ResumeSource(head, last, src))
-		if err != nil {
-			return nil, err
-		}
-		doc, err := s.Decode(p.Bytes())
-		p.Release()
-		return doc, err
+	if !bytes.HasPrefix(head.Bytes(), magic) {
+		head.Release()
+		return nil, errNoFrame
 	}
 	vs := &verifySource{
 		src:  core.ResumeSource(head, last, src),
 		mac:  hmac.New(sha256.New, s.Key),
-		skip: len(magic2),
+		skip: len(magic),
 	}
-	doc, err := core.DecodeChunksOf(s.Inner, vs)
+	doc, err := s.Inner.DecodeChunks(vs)
 	if err != nil {
 		vs.src.Abort()
 		return nil, err
@@ -186,5 +171,3 @@ func (v *verifySource) verify() error {
 	}
 	return nil
 }
-
-var _ core.StreamEncoding = Secured[core.BXSAEncoding]{}

@@ -2,12 +2,11 @@ package wssec
 
 // Differential fuzzing for the streaming seam: for any envelope derived
 // from the fuzz input, the streamed encoder must emit exactly the buffered
-// bytes for the base encodings (the degenerate-chunking guarantee that
-// lets streamed and buffered peers interoperate), and the streamed decoder
-// must accept any hostile re-slicing of the byte stream — chunk boundaries
-// carry no meaning — producing the same tree as the buffered parse. The
-// secured wrapper is held to the tree-level contract on both of its wire
-// forms: the streamed BXS2 frame and a buffered peer's BXS1 message.
+// bytes for every encoding, the secured wrapper included (the
+// degenerate-chunking guarantee that lets streamed and buffered peers
+// interoperate), and the streamed decoder must accept any hostile
+// re-slicing of the byte stream — chunk boundaries carry no meaning —
+// producing the same tree as the buffered parse.
 
 import (
 	"bytes"
@@ -125,7 +124,12 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, sizes []byte, window uint16) {
 		env := fuzzEnvelope(shape)
 		chunkBytes := 1 + int(window)
-		for _, enc := range []core.Encoding{core.BXSAEncoding{}, core.XMLEncoding{}} {
+		for _, enc := range []core.Encoding{
+			core.BXSAEncoding{},
+			core.XMLEncoding{},
+			Secure(core.BXSAEncoding{}, key),
+			Secure(core.XMLEncoding{}, key),
+		} {
 			codec := core.NewCodec(enc)
 			buffered, err := codec.EncodeBytes(env)
 			if err != nil {
@@ -152,34 +156,6 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			}
 			if !back.Equal(oracle) {
 				t.Errorf("%s: streamed decode differs from buffered parse", enc.Name())
-			}
-
-			// The secured wrapper: the streamed BXS2 frame intentionally
-			// differs from the buffered BXS1 bytes, so the contract is
-			// tree-level — and DecodeChunks must take both forms, however
-			// the chunks are cut.
-			sec := core.NewCodec[core.Encoding](Secure(enc, key))
-			ssink := &chunkGather{t: t}
-			if err := sec.EncodeChunks(env, chunkBytes, ssink); err != nil {
-				t.Fatalf("%s+hmac: streamed encode: %v", enc.Name(), err)
-			}
-			sback, err := sec.DecodeChunks(&resliceSource{data: ssink.buf, sizes: sizes})
-			if err != nil {
-				t.Fatalf("%s+hmac: streamed decode of BXS2: %v", enc.Name(), err)
-			}
-			if !sback.Equal(oracle) {
-				t.Errorf("%s+hmac: BXS2 round trip differs from plain parse", enc.Name())
-			}
-			sbuffered, err := sec.EncodeBytes(env)
-			if err != nil {
-				t.Fatalf("%s+hmac: buffered encode: %v", enc.Name(), err)
-			}
-			bback, err := sec.DecodeChunks(&resliceSource{data: sbuffered, sizes: sizes})
-			if err != nil {
-				t.Fatalf("%s+hmac: streamed decode of BXS1: %v", enc.Name(), err)
-			}
-			if !bback.Equal(oracle) {
-				t.Errorf("%s+hmac: BXS1 round trip differs from plain parse", enc.Name())
 			}
 		}
 	})

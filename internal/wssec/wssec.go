@@ -7,8 +7,14 @@
 //
 // — a compile-time composition exactly like the paper's template-parameter
 // stacking, usable with every binding and both base encodings. The envelope
-// bytes produced by the inner policy are wrapped in a small authenticated
-// frame carrying an HMAC-SHA256 tag.
+// bytes produced by the inner policy are wrapped in one authenticated frame,
+//
+//	[ "BXS2" | inner payload | 32-byte HMAC-SHA256 tag ]
+//
+// whether the message is buffered or streamed: the tag trails the data it
+// signs, so a streamed encoder can emit payload bytes before the tag exists
+// (stream.go), and a buffered message is the frame's one-chunk case —
+// streamed and buffered secured bytes are identical.
 package wssec
 
 import (
@@ -17,16 +23,17 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 
 	"bxsoap/internal/bxdm"
 	"bxsoap/internal/core"
 )
 
-var magic = []byte("BXS1")
+var magic = []byte("BXS2")
 
 // ErrBadSignature is returned when verification fails.
 var ErrBadSignature = errors.New("wssec: signature verification failed")
+
+var errNoFrame = errors.New("wssec: missing authentication frame")
 
 // Secured is an encoding policy that authenticates another encoding
 // policy's output.
@@ -46,69 +53,36 @@ func (s Secured[E]) Name() string { return s.Inner.Name() + "+HMAC" }
 // ContentType implements core.Encoding.
 func (s Secured[E]) ContentType() string { return s.Inner.ContentType() + `; signed="hmac-sha256"` }
 
-// Encode implements core.Encoding: inner encoding followed by the
-// authenticated framing [magic | 32-byte tag | payload].
-func (s Secured[E]) Encode(w io.Writer, doc *bxdm.Document) error {
-	data, err := s.AppendEncode(nil, doc)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// AppendEncode implements core.Encoding. The frame header is reserved up
-// front and the inner policy appends in place after it; the tag is then
-// filled into the reserved hole, so securing adds no extra payload copy.
+// AppendEncode implements core.Encoding: the magic, the inner policy
+// appending in place after it, and the tag appended over those inner bytes,
+// so securing adds no extra payload copy.
 func (s Secured[E]) AppendEncode(dst []byte, doc *bxdm.Document) ([]byte, error) {
-	start := len(dst)
 	dst = append(dst, magic...)
-	var hole [sha256.Size]byte
-	dst = append(dst, hole[:]...)
+	start := len(dst)
 	out, err := s.Inner.AppendEncode(dst, doc)
 	if err != nil {
 		return nil, err
 	}
 	mac := hmac.New(sha256.New, s.Key)
-	mac.Write(out[start+len(magic)+sha256.Size:])
-	mac.Sum(out[start+len(magic):start+len(magic)])
-	return out, nil
+	mac.Write(out[start:])
+	return mac.Sum(out), nil
 }
 
-// Decode implements core.Encoding: verify, strip, delegate. Either frame
-// form is accepted — the tag leads the payload in BXS1 and trails it in the
-// streamed BXS2 (stream.go) — so a message that reaches the codec whole is
-// verified the same way whichever encoder produced it.
+// Decode implements core.Encoding: verify, strip, delegate. A message that
+// reaches the codec whole — however it was sent — is verified here.
 func (s Secured[E]) Decode(data []byte) (*bxdm.Document, error) {
 	if len(data) < len(magic)+sha256.Size {
 		return nil, fmt.Errorf("wssec: message too short for authentication frame")
 	}
-	var tag, payload []byte
-	switch body := data[len(magic):]; {
-	case bytes.Equal(data[:len(magic)], magic):
-		tag, payload = body[:sha256.Size], body[sha256.Size:]
-	case bytes.Equal(data[:len(magic)], magic2):
-		payload, tag = body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
-	default:
-		return nil, fmt.Errorf("wssec: missing authentication frame")
+	if !bytes.HasPrefix(data, magic) {
+		return nil, errNoFrame
 	}
+	body := data[len(magic):]
+	payload, tag := body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
 	mac := hmac.New(sha256.New, s.Key)
 	mac.Write(payload)
 	if !hmac.Equal(tag, mac.Sum(nil)) {
 		return nil, ErrBadSignature
 	}
 	return s.Inner.Decode(payload)
-}
-
-// DecodeFrom implements core.Encoding. The whole frame must be in memory
-// before the tag can be verified, so this is the pooled read-then-Decode
-// shape shared by the base encodings.
-func (s Secured[E]) DecodeFrom(r io.Reader, size int64) (*bxdm.Document, error) {
-	p, err := core.ReadPayload(r, size, 0)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := s.Decode(p.Bytes())
-	p.Release()
-	return doc, err
 }
