@@ -389,24 +389,10 @@ func BenchmarkPooledCalls(b *testing.B) {
 // benchPooled drives b.N batches of conc concurrent calls through a
 // conc-connection pool and reports aggregate calls/s and pairs/s.
 func benchPooled(b *testing.B, profile netsim.Profile, conc, size int) {
-	nw := netsim.New(profile)
-	s := harness.NewPooledUnified("BXSA", "tcp", conc, conc)
-	if err := s.Setup(nw, b.TempDir()); err != nil {
+	pt, err := harness.PooledThroughput(netsim.New(profile), "BXSA", "tcp", conc, conc, b.N*conc, size)
+	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Teardown()
-	m := dataset.Generate(size)
-	if _, err := s.Invoke(m); err != nil { // warm-up: dials off the clock
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Invoke(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	calls := float64(b.N) * float64(conc)
-	b.ReportMetric(calls/b.Elapsed().Seconds(), "calls/s")
-	b.ReportMetric(calls*float64(size)/b.Elapsed().Seconds(), "pairs/s")
+	b.ReportMetric(pt.CallsPerSec, "calls/s")
+	b.ReportMetric(pt.PairsPerSec, "pairs/s")
 }

@@ -368,22 +368,3 @@ func (b *builder) findFrame(label *ast.Ident, continueOnly bool) *frame {
 	}
 	return nil
 }
-
-// Reaches reports whether to is reachable from from along Succs edges.
-func (g *CFG) Reaches(from, to *Block) bool {
-	seen := make([]bool, len(g.Blocks))
-	stack := []*Block{from}
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if blk == to {
-			return true
-		}
-		if seen[blk.Index] {
-			continue
-		}
-		seen[blk.Index] = true
-		stack = append(stack, blk.Succs...)
-	}
-	return false
-}

@@ -1,12 +1,16 @@
 package cfg
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -48,7 +52,7 @@ func TestGolden(t *testing.T) {
 	}
 	for _, f := range fns {
 		t.Run(f.name, func(t *testing.T) {
-			got := Format(New(f.body), fset)
+			got := format(New(f.body), fset)
 			golden := filepath.Join("testdata", f.name+".golden")
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -93,7 +97,7 @@ func f(done chan struct{}) {
 		t.Fatal(err)
 	}
 	g := New(file.Decls[0].(*ast.FuncDecl).Body)
-	if !g.Reaches(g.Entry, g.Exit) {
+	if !reaches(g, g.Entry, g.Exit) {
 		t.Fatal("exit should be reachable via the done arm")
 	}
 	// The for.done block of a condition-free loop has no predecessors: the
@@ -109,4 +113,62 @@ func f(done chan struct{}) {
 			}
 		}
 	}
+}
+
+// reaches reports whether to is reachable from from along Succs edges.
+func reaches(g *CFG, from, to *Block) bool {
+	seen := make([]bool, len(g.Blocks))
+	stack := []*Block{from}
+	for len(stack) > 0 {
+		blk := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if blk == to {
+			return true
+		}
+		if seen[blk.Index] {
+			continue
+		}
+		seen[blk.Index] = true
+		stack = append(stack, blk.Succs...)
+	}
+	return false
+}
+
+// format renders the graph as stable text for the golden files: one block
+// per stanza with its kind, operations, and successor edges.
+//
+//	b3 for.head: -> b4 b5
+//	    i < n
+func format(g *CFG, fset *token.FileSet) string {
+	var sb strings.Builder
+	for _, blk := range g.Blocks {
+		fmt.Fprintf(&sb, "b%d %s:", blk.Index, blk.Kind)
+		if len(blk.Succs) == 0 {
+			sb.WriteString(" (terminal)")
+		} else {
+			sb.WriteString(" ->")
+			for _, s := range blk.Succs {
+				fmt.Fprintf(&sb, " b%d", s.Index)
+			}
+		}
+		sb.WriteByte('\n')
+		for _, n := range blk.Nodes {
+			fmt.Fprintf(&sb, "    %s\n", summarize(fset, n))
+		}
+	}
+	return sb.String()
+}
+
+// summarize renders one operation on one line, whitespace-collapsed and
+// truncated; multi-line operations (a go statement with a literal body)
+// flatten onto the line.
+func summarize(fset *token.FileSet, n ast.Node) string {
+	var buf bytes.Buffer
+	printer.Fprint(&buf, fset, n)
+	s := strings.Join(strings.Fields(buf.String()), " ")
+	const max = 80
+	if len(s) > max {
+		s = s[:max] + "..."
+	}
+	return s
 }

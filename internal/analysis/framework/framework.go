@@ -203,44 +203,6 @@ func Annotations(cg *ast.CommentGroup) []Annotation {
 // comment.
 func FuncAnnotations(fn *ast.FuncDecl) []Annotation { return Annotations(fn.Doc) }
 
-// FieldAnnotations collects the //paylint: annotations attached to struct
-// field declarations across files, keyed by the field's object. Both
-// placements gofmt produces count — a doc comment above the field and a
-// trailing comment on the field's line:
-//
-//	// mu serializes the whole exchange.
-//	//paylint:serializes-io single in-flight exchange per binding
-//	mu sync.Mutex
-//
-// chanhold reads these to find mutexes whose critical sections are declared
-// to cover I/O.
-func FieldAnnotations(info *types.Info, files []*ast.File) map[types.Object][]Annotation {
-	out := make(map[types.Object][]Annotation)
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				var annots []Annotation
-				annots = append(annots, Annotations(field.Doc)...)
-				annots = append(annots, Annotations(field.Comment)...)
-				if len(annots) == 0 {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := info.Defs[name]; obj != nil {
-						out[obj] = append(out[obj], annots...)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
 // PackageMarked reports whether any file's package doc (or a floating
 // comment before the package clause) carries the given annotation verb.
 // Analyzers use it for per-package opt-in switches such as

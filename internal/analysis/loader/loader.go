@@ -234,18 +234,10 @@ type Result struct {
 	Unused      []*framework.Suppression
 }
 
-// Run applies every analyzer to every first-party package of the program,
-// dependencies first so facts flow to their importers, and returns the
-// diagnostics for root packages with //paylint:ignore suppressions applied.
-func Run(prog *Program, analyzers []*framework.Analyzer) ([]framework.Diagnostic, error) {
-	res, err := RunAll(prog, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// RunAll is Run plus the unused-suppression audit.
+// RunAll applies every analyzer to every first-party package of the
+// program, dependencies first so facts flow to their importers, and returns
+// the diagnostics for root packages with //paylint:ignore suppressions
+// applied, plus the unused-suppression audit.
 func RunAll(prog *Program, analyzers []*framework.Analyzer) (*Result, error) {
 	store := framework.NewFactStore()
 	res := &Result{}

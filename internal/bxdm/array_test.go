@@ -36,12 +36,14 @@ func TestArrayXBSRoundTrip(t *testing.T) {
 	check := func(d ArrayData) {
 		t.Helper()
 		var buf bytes.Buffer
-		w := xbs.NewWriter(&buf, xbs.LittleEndian, 0)
-		if err := d.WriteXBS(w); err != nil {
+		var w xbs.Writer
+		w.Reset(&buf, xbs.LittleEndian, 0)
+		if err := d.WriteXBS(&w); err != nil {
 			t.Fatal(err)
 		}
-		r := xbs.NewReader(bytes.NewReader(buf.Bytes()), xbs.LittleEndian, 0)
-		back, err := ReadArrayXBSGrow(r, d.Type(), d.Len())
+		var r xbs.Reader
+		r.Reset(bytes.NewReader(buf.Bytes()), xbs.LittleEndian, 0)
+		back, err := ReadArrayXBSGrow(&r, d.Type(), d.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +64,8 @@ func TestArrayXBSRoundTrip(t *testing.T) {
 }
 
 func TestReadArrayXBSInvalidCode(t *testing.T) {
-	r := xbs.NewReader(bytes.NewReader(nil), xbs.LittleEndian, 0)
+	r := new(xbs.Reader)
+	r.Reset(bytes.NewReader(nil), xbs.LittleEndian, 0)
 	if _, err := ReadArrayXBSGrow(r, TString, 0); err == nil {
 		t.Error("TString accepted as array item type")
 	}

@@ -1,7 +1,6 @@
 package bxdm
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -251,27 +250,5 @@ func TestQName(t *testing.T) {
 	}
 	if q.String() != "{urn:x}local" || LocalName("a").String() != "a" {
 		t.Error("String format wrong")
-	}
-}
-
-func TestDump(t *testing.T) {
-	out := Dump(sampleTree())
-	for _, want := range []string{
-		"document (1 children)",
-		"element {urn:app}data",
-		`xmlns:a="urn:app"`,
-		`version="2"`,
-		"leaf {urn:app}count = 3 (int)",
-		"array {urn:app}values = double[3] (24 bytes packed)",
-		`text "hello "`,
-		`comment "c"`,
-		`pi app "hint"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Dump missing %q:\n%s", want, out)
-		}
-	}
-	if Dump(nil) == "" {
-		t.Error("Dump(nil) should render a placeholder")
 	}
 }

@@ -17,6 +17,10 @@ type EncodeOptions struct {
 	Order xbs.ByteOrder
 }
 
+// trailerRoom is the spare capacity MarshalAppend leaves when it must grow
+// dst: room for wssec's 32-byte HMAC-SHA256 tag.
+const trailerRoom = 32
+
 // Marshal serializes a bXDM tree to BXSA.
 func Marshal(n bxdm.Node, opts EncodeOptions) ([]byte, error) {
 	return MarshalAppend(nil, n, opts)
@@ -33,7 +37,9 @@ func MarshalAppend(dst []byte, n bxdm.Node, opts EncodeOptions) ([]byte, error) 
 		return nil, err
 	}
 	if need := len(dst) + e.total; cap(dst) < need {
-		nb := make([]byte, len(dst), need)
+		// The grown buffer keeps trailerRoom spare bytes, so a wrapping
+		// policy that appends a trailer (wssec's HMAC tag) grows it once.
+		nb := make([]byte, len(dst), need+trailerRoom)
 		copy(nb, dst)
 		dst = nb
 	}

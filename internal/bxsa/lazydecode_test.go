@@ -170,7 +170,7 @@ func TestScannerDescendRejectsTruncatedAttribute(t *testing.T) {
 		0, 1, 'a', // attribute name "a"
 		byte(bxdm.TFloat64), // ... and no value bytes
 	}
-	data := AppendFrame(nil, xbs.LittleEndian, FrameElement, body)
+	data := appendFrame(nil, xbs.LittleEndian, FrameElement, body)
 	if len(data) != 11 {
 		t.Fatalf("frame is %d bytes, want 11", len(data))
 	}

@@ -1,21 +1,13 @@
 package bxsa
 
-// This file exports BXSA's splice property as a small product API:
-// per-frame byte-order bits and length-prefixed bodies make encoded frames
+// Per-frame byte-order bits and length-prefixed bodies make encoded frames
 // relocatable byte strings (§4.1 — "simpler to embed the frame within
-// other documents"), so pre-encoded frames can be assembled into
-// containers without re-encoding, and fixed-width spans of an encoded
-// message can be overwritten in place. The schema-compiled template path
-// (template.go, internal/core's plan cache) is the first real consumer:
-// per call it splices only an envelope's variable leaves into a cached
-// skeleton.
+// other documents"), and fixed-width spans of an encoded message can be
+// overwritten in place. The schema-compiled template path (template.go,
+// internal/core's plan cache) uses the latter: per call it splices only an
+// envelope's variable leaves into a cached skeleton.
 
-import (
-	"fmt"
-
-	"bxsoap/internal/vls"
-	"bxsoap/internal/xbs"
-)
+import "fmt"
 
 // Window is a fixed-width byte span [Off, Off+Len) inside an encoded BXSA
 // message. Because every frame carries its size up front and array slack
@@ -26,21 +18,9 @@ type Window struct {
 	Off, Len int
 }
 
-// Splice overwrites the window's span of msg with fill, which must be
-// exactly Len bytes. The message length never changes — that is what keeps
-// every other offset in the message valid.
-func (w Window) Splice(msg, fill []byte) error {
-	if len(fill) != w.Len {
-		return fmt.Errorf("bxsa: splice fill is %d bytes, window holds %d", len(fill), w.Len)
-	}
-	if err := w.bounds(msg); err != nil {
-		return err
-	}
-	copy(msg[w.Off:], fill)
-	return nil
-}
-
-// SpliceString is Splice for string fills, avoiding a []byte conversion.
+// SpliceString overwrites the window's span of msg with fill, which must
+// be exactly Len bytes. The message length never changes — that is what
+// keeps every other offset in the message valid.
 func (w Window) SpliceString(msg []byte, fill string) error {
 	if len(fill) != w.Len {
 		return fmt.Errorf("bxsa: splice fill is %d bytes, window holds %d", len(fill), w.Len)
@@ -57,37 +37,4 @@ func (w Window) bounds(msg []byte) error {
 		return fmt.Errorf("bxsa: window [%d:%d) outside %d-byte message", w.Off, w.Off+w.Len, len(msg))
 	}
 	return nil
-}
-
-// AppendFrame appends a complete frame — Common Frame Prefix, VLS size,
-// body — to dst and returns the extended slice. The body must already be
-// encoded in the frame's own grammar; AppendFrame only wraps it.
-func AppendFrame(dst []byte, order xbs.ByteOrder, t FrameType, body []byte) []byte {
-	dst = append(dst, prefixByte(order, t))
-	dst = vls.AppendUint(dst, uint64(len(body)))
-	return append(dst, body...)
-}
-
-// AppendSplicedElement appends an element frame with the unqualified name
-// local, no namespace declarations and no attributes, whose children are
-// the given pre-encoded frames spliced in verbatim. Child frames keep
-// their own byte-order bits, so frames produced by encoders of different
-// endianness embed without re-encoding. Array frames are only relocatable
-// to offsets congruent modulo their item size; the decoder verifies the
-// stored alignment pad rather than reading misaligned data.
-func AppendSplicedElement(dst []byte, order xbs.ByteOrder, local string, children ...[]byte) ([]byte, error) {
-	if len(local) == 0 || len(local) > maxNameLen {
-		return nil, fmt.Errorf("bxsa: spliced element name length %d out of range", len(local))
-	}
-	var body []byte
-	body = vls.AppendUint(body, 0) // no namespace declarations
-	body = vls.AppendUint(body, 0) // nsref: no namespace
-	body = vls.AppendUint(body, uint64(len(local)))
-	body = append(body, local...)
-	body = vls.AppendUint(body, 0) // no attributes
-	body = vls.AppendUint(body, uint64(len(children)))
-	for _, c := range children {
-		body = append(body, c...)
-	}
-	return AppendFrame(dst, order, FrameElement, body), nil
 }

@@ -1,7 +1,6 @@
 package bxsa
 
 import (
-	"bytes"
 	"testing"
 
 	"bxsoap/internal/bxdm"
@@ -14,8 +13,32 @@ import (
 // each frame rather than the entire BXSA document makes it simpler to embed
 // the frame within other documents without regard to a possible different
 // byte order used by the container." Here a big-endian leaf frame produced
-// by one encoder is spliced verbatim into a little-endian container via the
-// exported splice API, and the decoder reads both correctly.
+// by one encoder is spliced verbatim into a little-endian container, and the
+// decoder reads both correctly.
+// splicedElement builds an element frame with the unqualified name local,
+// no namespace declarations and no attributes, whose children are the given
+// pre-encoded frames spliced in verbatim.
+func splicedElement(order xbs.ByteOrder, local string, children ...[]byte) []byte {
+	var body []byte
+	body = vls.AppendUint(body, 0) // no namespace declarations
+	body = vls.AppendUint(body, 0) // nsref: no namespace
+	body = vls.AppendUint(body, uint64(len(local)))
+	body = append(body, local...)
+	body = vls.AppendUint(body, 0) // no attributes
+	body = vls.AppendUint(body, uint64(len(children)))
+	for _, c := range children {
+		body = append(body, c...)
+	}
+	return appendFrame(nil, order, FrameElement, body)
+}
+
+// appendFrame wraps an encoded body in its Common Frame Prefix and VLS size.
+func appendFrame(dst []byte, order xbs.ByteOrder, t FrameType, body []byte) []byte {
+	dst = append(dst, prefixByte(order, t))
+	dst = vls.AppendUint(dst, uint64(len(body)))
+	return append(dst, body...)
+}
+
 func TestSplicedMixedOrderDocument(t *testing.T) {
 	leLeaf, err := Marshal(bxdm.NewLeaf(bxdm.LocalName("le"), 1.5), EncodeOptions{Order: xbs.LittleEndian})
 	if err != nil {
@@ -26,10 +49,7 @@ func TestSplicedMixedOrderDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	frame, err := AppendSplicedElement(nil, xbs.LittleEndian, "mixed", leLeaf, beLeaf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := splicedElement(xbs.LittleEndian, "mixed", leLeaf, beLeaf)
 	n, err := Parse(frame)
 	if err != nil {
 		t.Fatalf("Parse spliced document: %v", err)
@@ -59,10 +79,7 @@ func TestSplicedArrayFrameAlignmentChecked(t *testing.T) {
 	}
 	// Splice at an offset that shifts the packed data off its alignment:
 	// wrap in a container whose header length is not a multiple of 8.
-	frame, err := AppendSplicedElement(nil, xbs.LittleEndian, "c", arr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := splicedElement(xbs.LittleEndian, "c", arr)
 	if _, err := Parse(frame); err == nil {
 		// The splice happened to land aligned — data integrity holds.
 		return
@@ -71,37 +88,9 @@ func TestSplicedArrayFrameAlignmentChecked(t *testing.T) {
 	// corruption or a panic.
 }
 
-func TestAppendFrameRoundTrip(t *testing.T) {
-	// A chardata frame assembled by hand through AppendFrame must parse
-	// back to the same node the encoder would produce.
-	want, err := Marshal(bxdm.NewText("hello"), EncodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := vls.AppendUint(nil, uint64(len("hello")))
-	body = append(body, "hello"...)
-	got := AppendFrame(nil, xbs.LittleEndian, FrameCharData, body)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendFrame = %x, encoder produced %x", got, want)
-	}
-	n, err := Parse(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if txt, ok := n.(*bxdm.Text); !ok || txt.Data != "hello" {
-		t.Fatalf("parsed %#v", n)
-	}
-}
-
 func TestWindowSplice(t *testing.T) {
 	msg := []byte("0123456789")
 	w := Window{Off: 3, Len: 4}
-	if err := w.Splice(msg, []byte("abcd")); err != nil {
-		t.Fatal(err)
-	}
-	if string(msg) != "012abcd789" {
-		t.Fatalf("spliced message = %q", msg)
-	}
 	if err := w.SpliceString(msg, "WXYZ"); err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +99,13 @@ func TestWindowSplice(t *testing.T) {
 	}
 	// The message length is invariant: fills of any other width are
 	// rejected, as are windows outside the message.
-	if err := w.Splice(msg, []byte("toolong")); err == nil {
+	if err := w.SpliceString(msg, "toolong"); err == nil {
 		t.Error("oversized fill accepted")
 	}
-	if err := (Window{Off: 8, Len: 4}).Splice(msg, []byte("abcd")); err == nil {
+	if err := (Window{Off: 8, Len: 4}).SpliceString(msg, "abcd"); err == nil {
 		t.Error("out-of-bounds window accepted")
 	}
 	if err := (Window{Off: -1, Len: 1}).SpliceString(msg, "x"); err == nil {
 		t.Error("negative offset accepted")
-	}
-}
-
-func TestAppendSplicedElementRejectsBadName(t *testing.T) {
-	if _, err := AppendSplicedElement(nil, xbs.LittleEndian, ""); err == nil {
-		t.Error("empty name accepted")
 	}
 }

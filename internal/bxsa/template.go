@@ -83,9 +83,6 @@ func CompileTemplate(doc *bxdm.Document, opts EncodeOptions) (*Template, error) 
 	return &Template{opts: opts, skeleton: skeleton, slots: slots}, nil
 }
 
-// Slots reports the number of variable windows.
-func (t *Template) Slots() int { return len(t.slots) }
-
 // Size reports the (fixed) encoded message size of the shape.
 func (t *Template) Size() int { return len(t.skeleton) }
 

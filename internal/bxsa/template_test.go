@@ -41,8 +41,8 @@ func TestTemplateEncodeMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tmpl.Slots() != 4 {
-			t.Fatalf("slots = %d, want 4", tmpl.Slots())
+		if len(tmpl.slots) != 4 {
+			t.Fatalf("slots = %d, want 4", len(tmpl.slots))
 		}
 		other := tmplDoc(-7, true, "hi", []float64{1.5, -2.5, 3})
 		want, err := Marshal(other, opts)

@@ -3,6 +3,8 @@ package core
 import (
 	"runtime/debug"
 	"testing"
+
+	"bxsoap/internal/bxdm"
 )
 
 // TestChurnCodecAllocBudget pins the codec allocations of an in-memory
@@ -42,5 +44,47 @@ func TestChurnCodecAllocBudget(t *testing.T) {
 		t.Errorf("%.0f allocs per churn exchange, budget %d", got, budget)
 	} else {
 		t.Logf("%.1f allocs per churn exchange (budget %d)", got, budget)
+	}
+}
+
+// releasingSink drops every chunk it is handed.
+type releasingSink struct{}
+
+func (releasingSink) WriteChunk(p *Payload, _ bool) error {
+	p.Release()
+	return nil
+}
+
+func (releasingSink) Abort() {}
+
+// TestStreamedXMLEncodeAllocBudget pins a streamed XML encode: 2000 float64
+// items in 4 KiB windows, about ten chunks, every chunk from the warm pool.
+// The encoder writes into the pending pooled chunk itself, so a message
+// costs the XML encoder's own allocations (namespace declarations, the
+// arrayType attribute) plus the chunk writer, and no buffer per window or
+// per message.
+func TestStreamedXMLEncodeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const budget = 7
+	items := make([]float64, 2000)
+	for i := range items {
+		items[i] = float64(i) * 1.5
+	}
+	doc := NewEnvelope(bxdm.NewArray(bxdm.LocalName("a"), items)).Document()
+	encode := func() {
+		if err := (XMLEncoding{}).EncodeChunks(doc, 4096, releasingSink{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < 10; w++ {
+		encode()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(200, encode); got > budget {
+		t.Errorf("%.1f allocs per streamed XML encode, budget %d", got, budget)
+	} else {
+		t.Logf("%.1f allocs per streamed XML encode (budget %d)", got, budget)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bxsoap/internal/bxdm"
@@ -23,17 +21,10 @@ type Dispatcher[E Encoding] struct {
 	codec   Codec[E]
 	handler Handler
 	obs     *obs.Observer
-
-	// understood is the set of header QNames this node can process;
-	// mustUnderstand entries outside the set draw a MustUnderstand fault
-	// (SOAP 1.1 §4.2.3). The map itself is immutable — Understand swaps in
-	// a fresh copy under mu — so dispatch reads it without locking.
-	mu         sync.Mutex
-	understood atomic.Pointer[map[bxdm.QName]bool]
 }
 
 // NewDispatcher composes a dispatcher from an encoding policy, a handler,
-// and server options (WithObserver and WithUnderstood apply; transport-side
+// and server options (WithObserver and WithTemplates apply; transport-side
 // options such as WithErrorLog are ignored here and belong to the serving
 // loop that owns the channels).
 func NewDispatcher[E Encoding](enc E, h Handler, opts ...ServerOption) *Dispatcher[E] {
@@ -51,11 +42,6 @@ func NewDispatcher[E Encoding](enc E, h Handler, opts ...ServerOption) *Dispatch
 			d.codec.plans = newPlanCache(tc, cfg.templates, cfg.obs)
 		}
 	}
-	understood := make(map[bxdm.QName]bool, len(cfg.understood))
-	for _, n := range cfg.understood {
-		understood[bxdm.QName{Space: n.Space, Local: n.Local}] = true
-	}
-	d.understood.Store(&understood)
 	return d
 }
 
@@ -68,23 +54,6 @@ func (d *Dispatcher[E]) Encoding() E { return d.codec.Encoding() }
 // Observer returns the dispatcher's observability sink (nil when none was
 // configured).
 func (d *Dispatcher[E]) Observer() *obs.Observer { return d.obs }
-
-// Understand registers additional header names this node processes. Safe
-// to call while serving: the understood set is swapped atomically, and
-// requests already dispatched keep the set they started with.
-func (d *Dispatcher[E]) Understand(names ...bxdm.QName) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := *d.understood.Load()
-	next := make(map[bxdm.QName]bool, len(old)+len(names))
-	for k := range old {
-		next[k] = true
-	}
-	for _, n := range names {
-		next[bxdm.QName{Space: n.Space, Local: n.Local}] = true
-	}
-	d.understood.Store(&next)
-}
 
 // DispatchStream decodes the request off its chunk source, enforces
 // mustUnderstand, runs the handler, and converts errors to faults. It never
@@ -136,18 +105,16 @@ func (d *Dispatcher[E]) dispatchEnvelope(ctx context.Context, req *Envelope, sp 
 	if d.obs.Dimensional() {
 		op = OpName(req)
 	}
+	// Handlers read header entries as data; the node itself processes none,
+	// so every mustUnderstand entry draws a MustUnderstand fault (SOAP 1.1
+	// §4.2.3).
 	for _, h := range req.HeaderEntries {
-		el, ok := h.(bxdm.ElementNode)
-		if !ok || !mustUnderstand(el) {
-			continue
-		}
-		name := el.ElemName()
-		if !(*d.understood.Load())[bxdm.QName{Space: name.Space, Local: name.Local}] {
+		if el, ok := h.(bxdm.ElementNode); ok && mustUnderstand(el) {
 			d.obs.Inc(obs.ServerFaults)
 			d.recordServerOp(op, sp, hop, entry, true)
 			return (&Fault{
 				Code:   FaultMustUnderstand,
-				String: fmt.Sprintf("header %v not understood", name),
+				String: fmt.Sprintf("header %v not understood", el.ElemName()),
 			}).Envelope()
 		}
 	}

@@ -18,15 +18,9 @@ import (
 const (
 	EnvelopeNS = "http://schemas.xmlsoap.org/soap/envelope/"
 
-	// AttrMustUnderstand marks a header entry that the receiving node must
+	// attrMustUnderstand marks a header entry that the receiving node must
 	// process or fault.
 	attrMustUnderstand = "mustUnderstand"
-	// AttrActor targets a header entry at a specific intermediary.
-	attrActor = "actor"
-
-	// ActorNext is the special actor URI addressing the next SOAP node on
-	// the message path.
-	ActorNext = "http://schemas.xmlsoap.org/soap/actor/next"
 )
 
 var (
@@ -89,18 +83,6 @@ func (e *Envelope) Header(name bxdm.QName) bxdm.ElementNode {
 		}
 	}
 	return nil
-}
-
-// MarkMustUnderstand flags a header element with soap:mustUnderstand="1".
-func MarkMustUnderstand(h bxdm.ElementNode) {
-	switch x := h.(type) {
-	case *bxdm.Element:
-		x.SetAttr(bxdm.PName(EnvelopeNS, "soap", attrMustUnderstand), bxdm.StringValue("1"))
-	case *bxdm.LeafElement:
-		x.SetAttr(bxdm.PName(EnvelopeNS, "soap", attrMustUnderstand), bxdm.StringValue("1"))
-	case *bxdm.ArrayElement:
-		x.SetAttr(bxdm.PName(EnvelopeNS, "soap", attrMustUnderstand), bxdm.StringValue("1"))
-	}
 }
 
 // mustUnderstand reports whether a header entry carries

@@ -8,10 +8,9 @@ import (
 
 // Standard SOAP 1.1 fault codes.
 const (
-	FaultVersionMismatch = "VersionMismatch"
-	FaultMustUnderstand  = "MustUnderstand"
-	FaultClient          = "Client"
-	FaultServer          = "Server"
+	FaultMustUnderstand = "MustUnderstand"
+	FaultClient         = "Client"
+	FaultServer         = "Server"
 )
 
 // Fault is a SOAP fault.

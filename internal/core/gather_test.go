@@ -59,11 +59,10 @@ func TestGatherChunksDegenerateCases(t *testing.T) {
 	}
 	got.Release()
 
-	pipe := NewChunkPipe(3)
-	for i, part := range []string{"ab", "", "cd"} {
-		pipe.WriteChunk(NewPayloadFrom([]byte(part)), i == 2)
-	}
-	got, err = GatherChunks(pipe)
+	three := ResumeSource(NewPayloadFrom([]byte("ab")), false,
+		ResumeSource(NewPayloadFrom(nil), false,
+			ResumeSource(NewPayloadFrom([]byte("cd")), true, nil)))
+	got, err = GatherChunks(three)
 	if err != nil {
 		t.Fatal(err)
 	}

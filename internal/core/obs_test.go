@@ -3,7 +3,6 @@ package core_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -83,13 +82,8 @@ func TestSpanOrderingOnFaultPath(t *testing.T) {
 	srv, srvObs := startObservedServer(t, func(_ context.Context, _ *core.Envelope) (*core.Envelope, error) {
 		return nil, errors.New("handler refuses")
 	})
-	var mu sync.Mutex
-	var order []obs.Stage
-	cliObs := obs.New(obs.WithTrace(func(st obs.Stage, _ time.Duration) {
-		mu.Lock()
-		order = append(order, st)
-		mu.Unlock()
-	}))
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	cliObs := obs.New(obs.WithRecorder(rec))
 	eng := core.NewEngine(core.BXSAEncoding{},
 		tcpbind.New(tcpbind.NetDialer, srv.Addr().String()),
 		core.WithObserver(cliObs))
@@ -102,8 +96,14 @@ func TestSpanOrderingOnFaultPath(t *testing.T) {
 	}
 
 	want := []obs.Stage{obs.ClientEncode, obs.ClientSend, obs.ClientWait, obs.ClientDecode}
-	mu.Lock()
-	defer mu.Unlock()
+	trees := rec.Recent(1)
+	if len(trees) != 1 {
+		t.Fatalf("recorded %d traces, want 1", len(trees))
+	}
+	var order []obs.Stage
+	for _, sp := range trees[0].Root.Stages {
+		order = append(order, sp.Stage)
+	}
 	if len(order) != len(want) {
 		t.Fatalf("traced stages %v, want %v", order, want)
 	}
@@ -135,43 +135,6 @@ func TestCountersBalanceOnTransportFailure(t *testing.T) {
 	if started == 0 || started != o.Counter(obs.CallsCompleted)+o.Counter(obs.CallsFailed) {
 		t.Errorf("started %d != completed %d + failed %d",
 			started, o.Counter(obs.CallsCompleted), o.Counter(obs.CallsFailed))
-	}
-}
-
-// Understand must be callable while Serve is dispatching traffic (the
-// pre-redesign implementation wrote the map unsynchronized; run under
-// -race this is the regression test for that data race).
-func TestUnderstandDuringServeIsRaceFree(t *testing.T) {
-	srv, _ := startObservedServer(t, func(_ context.Context, _ *core.Envelope) (*core.Envelope, error) {
-		return core.NewEnvelope(), nil
-	})
-	eng := core.NewEngine(core.BXSAEncoding{}, tcpbind.New(tcpbind.NetDialer, srv.Addr().String()))
-	defer eng.Close()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			srv.Dispatcher().Understand(bxdm.Name("urn:sec", "token"))
-		}
-	}()
-	env := core.NewEnvelope()
-	h := bxdm.NewElement(bxdm.Name("urn:sec", "token"))
-	core.MarkMustUnderstand(h)
-	env.AddHeader(h)
-	for i := 0; i < 50; i++ {
-		// Registration races the calls, so either outcome (fault before it
-		// lands, success after) is legal — only the data race would fail.
-		_, err := eng.Call(context.Background(), env)
-		var f *core.Fault
-		if err != nil && !errors.As(err, &f) {
-			t.Fatalf("call %d: non-fault error %v", i, err)
-		}
-	}
-	<-done
-	// After the registrar finishes, the header must be understood.
-	if _, err := eng.Call(context.Background(), env); err != nil {
-		t.Fatalf("post-registration call: %v", err)
 	}
 }
 

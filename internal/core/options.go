@@ -3,17 +3,13 @@ package core
 import (
 	"log"
 
-	"bxsoap/internal/bxdm"
 	"bxsoap/internal/obs"
 )
 
 // The construction options for engines and servers. Everything is set
 // here, at NewEngine/NewServer time, so a composed node is immutable once
 // serving — the options redesign is what makes "configure after Serve"
-// impossible to race by construction. (The transitional field-poking and
-// post-construction mutators — Server.ErrorLog, Server.Understand — were
-// removed once every caller migrated; late header registration goes
-// through Dispatcher.Understand, which swaps the set atomically.)
+// impossible to race by construction.
 //
 // EngineOption and ServerOption are split interfaces because the two sides
 // accept different settings; Option implements both for settings (the
@@ -22,7 +18,6 @@ import (
 //
 //	core.NewServer(enc, bind, h,
 //		core.WithErrorLog(logger),
-//		core.WithUnderstood(securityHeader),
 //		core.WithObserver(o))
 //	core.NewEngine(enc, bind, core.WithObserver(o))
 
@@ -47,7 +42,6 @@ type engineConfig struct {
 type serverConfig struct {
 	obs        *obs.Observer
 	errorLog   *log.Logger
-	understood []bxdm.QName
 	templates  int
 	chunkBytes int
 }
@@ -71,17 +65,6 @@ func (v errorLogOption) applyServer(c *serverConfig) { c.errorLog = v.l }
 // WithErrorLog directs per-channel failures to l; without it they are
 // silently dropped.
 func WithErrorLog(l *log.Logger) ServerOption { return errorLogOption{l} }
-
-type understoodOption struct{ names []bxdm.QName }
-
-func (v understoodOption) applyServer(c *serverConfig) {
-	c.understood = append(c.understood, v.names...)
-}
-
-// WithUnderstood registers header QNames this node processes, for SOAP 1.1
-// mustUnderstand enforcement (§4.2.3). Repeatable; the sets union.
-// Replaces the deprecated post-construction Server.Understand.
-func WithUnderstood(names ...bxdm.QName) ServerOption { return understoodOption{names} }
 
 type templatesOption struct{ capacity int }
 

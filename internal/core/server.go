@@ -19,7 +19,7 @@ type Handler func(ctx context.Context, req *Envelope) (*Envelope, error)
 
 // Server is the server side of the generic engine, composed from the same
 // two policy axes as Engine. Configuration is fixed at NewServer time via
-// options (WithErrorLog, WithUnderstood, WithObserver); a constructed
+// options (WithErrorLog, WithObserver, WithTemplates); a constructed
 // server carries no settable knobs, so there is nothing to race with Serve.
 type Server[E Encoding, B ServerBinding] struct {
 	// disp performs the transport-independent half of every exchange

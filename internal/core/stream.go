@@ -222,21 +222,16 @@ func (b BXSAEncoding) DecodeChunks(src ChunkSource) (*bxdm.Document, error) {
 	return doc, err
 }
 
-// EncodeChunks implements Encoding: the XML writer already emits
-// element-at-a-time through an io.Writer, so streaming is xmltext.Encode
-// pointed at a chunking writer.
+// EncodeChunks implements Encoding: the XML encoder emits element at a
+// time, straight into the pending pooled chunk (chunkWriter), so each byte
+// is written once and a message allocates no buffer of its own.
 func (x XMLEncoding) EncodeChunks(doc *bxdm.Document, chunkBytes int, sink ChunkSink) error {
-	em := chunkEmitter{sink: sink}
-	cw := chunkingWriter{em: &em, chunkBytes: normChunkBytes(chunkBytes)}
-	if err := xmltext.Encode(&cw, doc, xmltext.EncodeOptions{TypeHints: !x.PlainStrings}); err != nil {
-		em.discard()
+	w := chunkWriter{em: chunkEmitter{sink: sink}, chunkBytes: normChunkBytes(chunkBytes)}
+	if err := xmltext.Encode(&w, doc, xmltext.EncodeOptions{TypeHints: !x.PlainStrings}); err != nil {
+		w.discard()
 		return err
 	}
-	if err := cw.flush(); err != nil {
-		em.discard()
-		return err
-	}
-	return em.finish()
+	return w.finish()
 }
 
 // DecodeChunks implements Encoding as a gathered decode: the whole message
@@ -263,12 +258,19 @@ type chunkEmitter struct {
 	pending *Payload
 }
 
-// emit copies one produced window into a pooled chunk and forwards the
-// previously held chunk. The window may alias the producer's scratch
-// buffer; it is copied before emit returns.
+// emit copies one produced window into a pooled chunk and queues it. The
+// window may alias the producer's scratch buffer; it is copied before emit
+// returns.
 func (c *chunkEmitter) emit(b []byte) error {
 	p := NewPayload(len(b))
 	p.Write(b)
+	return c.push(p)
+}
+
+// push holds a full chunk and forwards the previously held one.
+//
+//paylint:transfers
+func (c *chunkEmitter) push(p *Payload) error {
 	prev := c.pending
 	c.pending = p
 	if prev != nil {
@@ -298,43 +300,78 @@ func (c *chunkEmitter) discard() {
 	}
 }
 
-// chunkingWriter adapts a chunkEmitter to io.Writer for producers that
-// stream through the writer interface (the XML encoder): bytes accumulate
-// in a scratch window and spill as chunks when the window fills.
-type chunkingWriter struct {
-	em         *chunkEmitter
+// chunkWriter is the streamed XML encoder's writer: bytes land directly in
+// a pooled chunk, which is queued on the emitter as soon as it holds a full
+// window.
+type chunkWriter struct {
+	em         chunkEmitter
 	chunkBytes int
-	buf        []byte
+	cur        *Payload // the chunk being filled; nil until a byte arrives
 }
 
-func (w *chunkingWriter) Write(b []byte) (int, error) {
+func (w *chunkWriter) Write(b []byte) (int, error) { return writeChunked(w, b) }
+
+func (w *chunkWriter) WriteString(s string) (int, error) { return writeChunked(w, s) }
+
+func (w *chunkWriter) WriteByte(c byte) error {
+	w.room()
+	w.cur.buf = append(w.cur.buf, c)
+	return w.spill()
+}
+
+func writeChunked[S string | []byte](w *chunkWriter, b S) (int, error) {
 	n := len(b)
 	for len(b) > 0 {
-		if w.buf == nil {
-			w.buf = make([]byte, 0, w.chunkBytes)
-		}
-		room := w.chunkBytes - len(w.buf)
-		if room == 0 {
-			if err := w.em.emit(w.buf); err != nil {
-				return 0, err
-			}
-			w.buf = w.buf[:0]
-			continue
-		}
-		k := min(room, len(b))
-		w.buf = append(w.buf, b[:k]...)
+		k := min(w.room(), len(b))
+		w.cur.buf = append(w.cur.buf, b[:k]...)
 		b = b[k:]
+		if err := w.spill(); err != nil {
+			return 0, err
+		}
 	}
 	return n, nil
 }
 
-func (w *chunkingWriter) flush() error {
-	if len(w.buf) == 0 {
+// room returns the free bytes of the chunk being filled, starting one if
+// there is none.
+func (w *chunkWriter) room() int {
+	if w.cur == nil {
+		w.cur = NewPayload(w.chunkBytes)
+	}
+	return w.chunkBytes - len(w.cur.buf)
+}
+
+// spill queues the chunk being filled once it holds a full window.
+func (w *chunkWriter) spill() error {
+	if len(w.cur.buf) < w.chunkBytes {
 		return nil
 	}
-	err := w.em.emit(w.buf)
-	w.buf = w.buf[:0]
-	return err
+	p := w.cur
+	w.cur = nil
+	return w.em.push(p)
+}
+
+// finish queues the partly filled chunk and sends the held one as the
+// message's last.
+func (w *chunkWriter) finish() error {
+	if p := w.cur; p != nil {
+		w.cur = nil
+		if err := w.em.push(p); err != nil {
+			w.em.discard()
+			return err
+		}
+	}
+	return w.em.finish()
+}
+
+// discard drops both held chunks after a failure; aborting the sink is the
+// caller's job.
+func (w *chunkWriter) discard() {
+	if w.cur != nil {
+		w.cur.Release()
+		w.cur = nil
+	}
+	w.em.discard()
 }
 
 // chunkReader adapts a ChunkSource to io.Reader for consumers that parse
@@ -451,77 +488,3 @@ func (s countingSource) ReadChunk() (*Payload, bool, error) {
 }
 
 func (s countingSource) Abort() { s.src.Abort() }
-
-type pipeChunk struct {
-	p    *Payload
-	last bool
-}
-
-// ChunkPipe is an in-process bounded chunk queue: the sink side blocks when
-// window chunks are unconsumed, which is exactly the backpressure a
-// transport provides. It exists for tests and in-process compositions; the
-// bindings implement their own wire-backed sinks and sources.
-type ChunkPipe struct {
-	ch     chan pipeChunk
-	done   chan struct{}
-	closed bool
-}
-
-// NewChunkPipe builds a pipe holding at most window unconsumed chunks.
-func NewChunkPipe(window int) *ChunkPipe {
-	if window <= 0 {
-		window = 1
-	}
-	return &ChunkPipe{ch: make(chan pipeChunk, window), done: make(chan struct{})}
-}
-
-// WriteChunk implements ChunkSink.
-//
-//paylint:transfers
-func (p *ChunkPipe) WriteChunk(c *Payload, last bool) error {
-	select {
-	case p.ch <- pipeChunk{c, last}:
-		return nil
-	case <-p.done:
-		c.Release()
-		return fmt.Errorf("core: chunk pipe aborted")
-	}
-}
-
-// ReadChunk implements ChunkSource.
-//
-//paylint:returns owned
-func (p *ChunkPipe) ReadChunk() (*Payload, bool, error) {
-	select {
-	case c := <-p.ch:
-		return c.p, c.last, nil
-	case <-p.done:
-		// Drain any chunks racing the abort so their buffers recycle.
-		for {
-			select {
-			case c := <-p.ch:
-				c.p.Release()
-			default:
-				return nil, false, fmt.Errorf("core: chunk pipe aborted")
-			}
-		}
-	}
-}
-
-// Abort implements both ends' Abort: it wakes the peer and recycles queued
-// chunks. Idempotent.
-func (p *ChunkPipe) Abort() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	close(p.done)
-	for {
-		select {
-		case c := <-p.ch:
-			c.p.Release()
-		default:
-			return
-		}
-	}
-}

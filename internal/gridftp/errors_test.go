@@ -148,7 +148,7 @@ func TestRetrWithoutModeE(t *testing.T) {
 }
 
 func TestDialFailsAgainstClosedServer(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	if _, err := Dial(nw, "127.0.0.1:1", fastOpts(1)); err == nil {
 		t.Error("Dial to dead address succeeded")
 	}

@@ -25,7 +25,7 @@ func newTestServer(t *testing.T, files map[string][]byte, opts Options) (*Server
 			t.Fatal(err)
 		}
 	}
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	srv, err := NewServer(nw, root, opts)
 	if err != nil {
 		t.Fatal(err)

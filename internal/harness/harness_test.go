@@ -62,7 +62,7 @@ func TestPrintTable1(t *testing.T) {
 }
 
 func TestUnifiedSchemesEndToEnd(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	for _, s := range []Scheme{
 		NewUnified("BXSA", "tcp"),
 		NewUnified("XML", "http"),
@@ -87,7 +87,7 @@ func TestUnifiedSchemesEndToEnd(t *testing.T) {
 }
 
 func TestSeparatedHTTPSchemeEndToEnd(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	s := NewSeparatedHTTP()
 	if err := s.Setup(nw, t.TempDir()); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestSeparatedHTTPSchemeEndToEnd(t *testing.T) {
 }
 
 func TestSeparatedGridFTPSchemeEndToEnd(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	s := NewSeparatedGridFTP(4)
 	s.Opts = fastGridFTP
 	if err := s.Setup(nw, t.TempDir()); err != nil {
@@ -125,7 +125,7 @@ func TestSeparatedGridFTPSchemeEndToEnd(t *testing.T) {
 }
 
 func TestSweepProducesSeries(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	gftp := NewSeparatedGridFTP(1)
 	gftp.Opts = fastGridFTP
 	schemes := []Scheme{NewUnified("BXSA", "tcp"), gftp}
@@ -167,7 +167,7 @@ func TestSweepProducesSeries(t *testing.T) {
 }
 
 func TestSweepMaxSizeFor(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	schemes := []Scheme{NewUnified("XML", "http")}
 	series, err := Sweep(schemes, SweepConfig{
 		Network:    nw,
@@ -186,7 +186,7 @@ func TestSweepMaxSizeFor(t *testing.T) {
 func TestBXSAFasterThanXMLUnified(t *testing.T) {
 	// The headline claim at moderate size on an unshaped network: the
 	// conversion cost alone should make XML several times slower.
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	series, err := Sweep(
 		[]Scheme{NewUnified("BXSA", "tcp"), NewUnified("XML", "http")},
 		SweepConfig{Network: nw, Sizes: []int{50000}, Iters: 3},

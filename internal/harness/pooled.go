@@ -73,96 +73,6 @@ func buildPooled(nw *netsim.Network, encoding, transport string, cfg svcpool.Con
 	}
 }
 
-// PooledUnified is the unified scheme driven through an svcpool runtime:
-// each Invoke fires Concurrency simultaneous calls over a pool of Conns
-// persistent connections. With Concurrency 1 it is the drop-in pooled
-// counterpart of Unified; at 4/16 an Invoke's response time is the batch
-// latency of that many concurrent callers, which is how the Figure 4/5
-// series look once the client is no longer a single synchronous socket.
-type PooledUnified struct {
-	Encoding, Transport string
-	Conns, Concurrency  int
-
-	name    string
-	pool    pooledCaller
-	closers []func() error
-}
-
-// NewPooledUnified builds the pooled unified scheme. conns bounds the live
-// connections; concurrency is the number of simultaneous calls per Invoke.
-func NewPooledUnified(encoding, transport string, conns, concurrency int) *PooledUnified {
-	if conns <= 0 {
-		conns = 4
-	}
-	if concurrency <= 0 {
-		concurrency = 1
-	}
-	return &PooledUnified{
-		Encoding:    encoding,
-		Transport:   transport,
-		Conns:       conns,
-		Concurrency: concurrency,
-		name: fmt.Sprintf("Pooled SOAP over %s/%s (conns=%d, c=%d)",
-			encoding, transportLabel(transport), conns, concurrency),
-	}
-}
-
-// Name implements Scheme.
-func (p *PooledUnified) Name() string { return p.name }
-
-// Setup implements Scheme.
-func (p *PooledUnified) Setup(nw *netsim.Network, _ string) error {
-	pool, closers, err := buildPooled(nw, p.Encoding, p.Transport, svcpool.Config{
-		MaxConns:    p.Conns,
-		MaxInflight: p.Concurrency,
-	})
-	if err != nil {
-		return err
-	}
-	p.pool, p.closers = pool, closers
-	return nil
-}
-
-// Invoke implements Scheme: Concurrency simultaneous calls through the
-// pool; every reply must verify.
-func (p *PooledUnified) Invoke(m dataset.Model) (int, error) {
-	env := core.NewEnvelope(m.Element())
-	verified := make([]int, p.Concurrency)
-	errs := make([]error, p.Concurrency)
-	var wg sync.WaitGroup
-	for i := 0; i < p.Concurrency; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := p.pool.Call(context.Background(), env)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			verified[i], errs[i] = parseReply(resp)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return verified[0], nil
-}
-
-// Teardown implements Scheme.
-func (p *PooledUnified) Teardown() error {
-	var first error
-	for _, c := range p.closers {
-		if err := c(); err != nil && first == nil {
-			first = err
-		}
-	}
-	p.closers = nil
-	return first
-}
-
 // ThroughputPoint is one measured concurrent-throughput sample.
 type ThroughputPoint struct {
 	Scheme      string

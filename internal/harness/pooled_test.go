@@ -4,35 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"bxsoap/internal/dataset"
 	"bxsoap/internal/netsim"
 )
-
-// TestPooledUnifiedScheme: the pooled scheme verifies models end to end at
-// concurrency > 1 for both transports.
-func TestPooledUnifiedScheme(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
-	for _, tc := range []struct{ enc, tr string }{
-		{"BXSA", "tcp"},
-		{"XML", "http"},
-	} {
-		s := NewPooledUnified(tc.enc, tc.tr, 2, 4)
-		if err := s.Setup(nw, t.TempDir()); err != nil {
-			t.Fatalf("%s/%s: %v", tc.enc, tc.tr, err)
-		}
-		m := dataset.Generate(200)
-		verified, err := s.Invoke(m)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", tc.enc, tc.tr, err)
-		}
-		if verified != m.Verify() {
-			t.Errorf("%s/%s: verified %d, want %d", tc.enc, tc.tr, verified, m.Verify())
-		}
-		if err := s.Teardown(); err != nil {
-			t.Errorf("%s/%s teardown: %v", tc.enc, tc.tr, err)
-		}
-	}
-}
 
 // TestPooledThroughputScalesWithConcurrency: on a WAN-class RTT-bound
 // profile, 8 concurrent callers over 8 pooled connections must push

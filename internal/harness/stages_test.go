@@ -12,7 +12,7 @@ import (
 
 func TestStageBreakdownCoversFourCombos(t *testing.T) {
 	results, err := StageBreakdown(StageConfig{
-		Profile:   netsim.Unshaped,
+		Profile:   netsim.Profile{},
 		ModelSize: 50,
 		Calls:     3,
 	})

@@ -55,7 +55,6 @@ func applyOptions(opts []Option) options {
 type Binding struct {
 	url    string
 	client *http.Client
-	action string
 	obs    *obs.Observer
 
 	// mu guards the exchange in flight: the response to a whole request
@@ -72,9 +71,8 @@ type Binding struct {
 	// at a time, and the transport has serialized the headers before the
 	// response can arrive), so steady state sends a request with no URL
 	// parsing and no header-map churn.
-	proto     *http.Request
-	header    http.Header
-	actionHdr string
+	proto  *http.Request
+	header http.Header
 
 	// sink and src are the two ends every exchange runs through; they live
 	// here (the binding carries one exchange at a time) so opening a
@@ -100,9 +98,11 @@ func New(dial Dialer, url string, opts ...Option) *Binding {
 		}
 	}
 	o := applyOptions(opts)
-	b := &Binding{url: url, client: &http.Client{Transport: tr}, actionHdr: `""`, obs: o.obs}
+	b := &Binding{url: url, client: &http.Client{Transport: tr}, obs: o.obs}
 	if u, err := neturl.Parse(url); err == nil {
 		b.header = make(http.Header, 4)
+		// SOAP 1.1 requires the header; "" says the request URI is the intent.
+		b.header.Set("SOAPAction", `""`)
 		b.proto = &http.Request{
 			Method:     http.MethodPost,
 			URL:        u,
@@ -114,12 +114,6 @@ func New(dial Dialer, url string, opts ...Option) *Binding {
 		}
 	}
 	return b
-}
-
-// SetSOAPAction sets the SOAPAction header value sent with requests.
-func (b *Binding) SetSOAPAction(a string) {
-	b.action = a
-	b.actionHdr = `"` + a + `"`
 }
 
 // Poisoned reports whether the binding has been retired after a response

@@ -248,7 +248,6 @@ func TestSOAPActionHeaderSent(t *testing.T) {
 
 	b := New(nil, "http://"+l.Addr().String()+"/soap")
 	defer b.Close()
-	b.SetSOAPAction("urn:op")
 	if err := b.SendRequest(context.Background(), core.NewPayloadFrom([]byte("x")), "t/t"); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestSOAPActionHeaderSent(t *testing.T) {
 	} else {
 		resp.Release()
 	}
-	if gotAction != `"urn:op"` {
+	if gotAction != `""` {
 		t.Errorf("SOAPAction = %q", gotAction)
 	}
 }

@@ -52,9 +52,6 @@ func (b *Binding) SendRequestStream(ctx context.Context, contentType string) (co
 	if b.header.Get("Content-Type") != contentType {
 		b.header.Set("Content-Type", contentType)
 	}
-	if b.header.Get("SOAPAction") != b.actionHdr {
-		b.header.Set("SOAPAction", b.actionHdr)
-	}
 	b.sink = cliSink{b: b, ctx: ctx}
 	return &b.sink, nil
 }

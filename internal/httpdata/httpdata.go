@@ -7,7 +7,6 @@ package httpdata
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -139,6 +138,3 @@ func (c *Client) Close() error {
 	c.hc.CloseIdleConnections()
 	return nil
 }
-
-// ErrNotFound is a sentinel some callers match on.
-var ErrNotFound = errors.New("httpdata: not found")

@@ -19,7 +19,7 @@ func TestPublishAndDownload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	l, err := nw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -82,13 +82,21 @@ func TestPropertyTranscodeLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		xml, err := bxsa.ToXML(bin1)
+		mid, err := bxsa.Parse(bin1)
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v", seed, err)
+		}
+		xml, err := xmltext.Marshal(mid, xmltext.EncodeOptions{TypeHints: true})
 		if err != nil {
 			t.Fatalf("seed %d: to xml: %v", seed, err)
 		}
-		bin2, err := bxsa.FromXML(xml, bxsa.EncodeOptions{})
+		fromXML, err := xmltext.Parse(xml, xmltext.DecodeOptions{RecoverTypes: true})
 		if err != nil {
 			t.Fatalf("seed %d: from xml: %v\nxml: %s", seed, err, clip(xml))
+		}
+		bin2, err := bxsa.Marshal(fromXML, bxsa.EncodeOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: re-encode: %v", seed, err)
 		}
 		back, err := bxsa.Parse(bin2)
 		if err != nil {

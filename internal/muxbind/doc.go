@@ -9,7 +9,7 @@
 //
 //	magic   2 bytes  "BX"
 //	version 1 byte   0x02
-//	type    1 byte   0=DATA 1=RST 2=CREDIT 3=GOAWAY 4=CHUNK
+//	type    1 byte   0=DATA 1=RST 2=CREDIT 4=CHUNK (3 is unassigned)
 //	stream  VLS      stream ID (0 = connection control)
 //
 // followed by a type-specific body:
@@ -17,7 +17,6 @@
 //	DATA:    ctLen VLS, ct bytes, payloadLen VLS, payload bytes
 //	RST:     code VLS, detailLen VLS, detail bytes
 //	CREDIT:  n VLS (stream must be 0; grants n new streams)
-//	GOAWAY:  code VLS, detailLen VLS, detail bytes (stream must be 0)
 //	CHUNK:   flags 1 byte (0x01 first, 0x02 last), then on first:
 //	         ctLen VLS, ct bytes; always: payloadLen VLS, payload bytes
 //

@@ -15,16 +15,11 @@ const (
 	magic0, magic1 = framing.Magic0, framing.Magic1
 	version        = 0x02
 
-	// MaxFrameSize bounds a single DATA or CHUNK frame's payload; larger
-	// length prefixes are rejected before any allocation (the bound, and
-	// the reader that enforces it, are shared with tcpbind).
-	MaxFrameSize = framing.MaxFrameSize
-
 	maxContentTypeLen = framing.MaxContentTypeLen
 
-	// maxDetailLen bounds the human-readable detail carried by RST and
-	// GOAWAY frames. Detail is diagnostic text, not data; a peer that needs
-	// more than this is up to something.
+	// maxDetailLen bounds the human-readable detail carried by RST frames.
+	// Detail is diagnostic text, not data; a peer that needs more than this
+	// is up to something.
 	maxDetailLen = 256
 
 	// maxCreditGrant bounds a single CREDIT frame's grant. The grant loop
@@ -33,13 +28,12 @@ const (
 	maxCreditGrant = 1 << 20
 )
 
-// Frame types. Stream 0 is reserved for connection control: CREDIT and
-// GOAWAY must use it, DATA and RST must not.
+// Frame types. Stream 0 is reserved for connection control: CREDIT must
+// use it, DATA and RST must not. Type 0x03 is unassigned.
 const (
 	fData   = 0x00
 	fRst    = 0x01
 	fCredit = 0x02
-	fGoaway = 0x03
 	fChunk  = 0x04
 )
 
@@ -51,7 +45,7 @@ const (
 	chunkLast  = 0x02
 )
 
-// RST / GOAWAY codes.
+// RST codes.
 const (
 	// RstOverload: the server's admission control refused the stream; the
 	// request was never dispatched and is safe to retry elsewhere.
@@ -62,11 +56,9 @@ const (
 	RstProtocol = 3
 	// RstInternal: the server failed to produce a response (encode error).
 	RstInternal = 4
-	// GoawayShutdown: the connection is closing in an orderly fashion.
-	GoawayShutdown = 5
 )
 
-// rstCodeName returns a stable human-readable name for an RST/GOAWAY code
+// rstCodeName returns a stable human-readable name for an RST code
 // (unknown codes print numerically).
 func rstCodeName(code uint64) string {
 	switch code {
@@ -78,8 +70,6 @@ func rstCodeName(code uint64) string {
 		return "protocol"
 	case RstInternal:
 		return "internal"
-	case GoawayShutdown:
-		return "shutdown"
 	}
 	return fmt.Sprintf("code %d", code)
 }
@@ -92,8 +82,8 @@ type frame struct {
 	stream  uint64
 	ct      string        // DATA; CHUNK with first set
 	payload *core.Payload // DATA, CHUNK (owned by caller)
-	code    uint64        // RST, GOAWAY
-	detail  string        // RST, GOAWAY
+	code    uint64        // RST
+	detail  string        // RST
 	credit  uint64        // CREDIT
 	first   bool          // DATA (always), CHUNK
 	last    bool          // DATA (always), CHUNK
@@ -175,16 +165,11 @@ func (fr *frameReader) read(r *bufio.Reader) (frame, error) {
 		}
 		f.credit = n
 		return f, nil
-	case fGoaway:
-		if stream != 0 {
-			return f, fmt.Errorf("muxbind: GOAWAY frame on stream %d", stream)
-		}
-		return fr.readCodeDetail(r, f)
 	}
 	return f, fmt.Errorf("muxbind: unknown frame type %#x", f.typ)
 }
 
-// readCodeDetail decodes the shared RST/GOAWAY body into f.
+// readCodeDetail decodes an RST body into f.
 func (fr *frameReader) readCodeDetail(r *bufio.Reader, f frame) (frame, error) {
 	code, err := vls.ReadUint(r)
 	if err != nil {
@@ -255,16 +240,6 @@ func writeRst(w *bufio.Writer, stream, code uint64, detail string) {
 func writeCredit(w *bufio.Writer, n uint64) {
 	writeHeader(w, fCredit, 0)
 	vls.WriteUint(w, n)
-}
-
-func writeGoaway(w *bufio.Writer, code uint64, detail string) {
-	if len(detail) > maxDetailLen {
-		detail = detail[:maxDetailLen]
-	}
-	writeHeader(w, fGoaway, 0)
-	vls.WriteUint(w, code)
-	vls.WriteUint(w, uint64(len(detail)))
-	w.WriteString(detail)
 }
 
 // qframe is one frame queued for a connection's writer goroutine (either

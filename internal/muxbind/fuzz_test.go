@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bxsoap/internal/core"
+	"bxsoap/internal/framing"
 	"bxsoap/internal/vls"
 )
 
@@ -31,7 +32,6 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frameBytes(func(w *bufio.Writer) { writeRst(w, 1, RstCancel, "") }))
 	f.Add(frameBytes(func(w *bufio.Writer) { writeCredit(w, 1) }))
 	f.Add(frameBytes(func(w *bufio.Writer) { writeCredit(w, maxCreditGrant) }))
-	f.Add(frameBytes(func(w *bufio.Writer) { writeGoaway(w, GoawayShutdown, "bye") }))
 	f.Add(frameBytes(func(w *bufio.Writer) { writeChunk(w, 2, []byte("first"), "application/x-bxsa", true, false) }))
 	f.Add(frameBytes(func(w *bufio.Writer) { writeChunk(w, 2, []byte("mid"), "", false, false) }))
 	f.Add(frameBytes(func(w *bufio.Writer) { writeChunk(w, 2, []byte("last"), "", false, true) }))
@@ -45,6 +45,8 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{magic0, magic1, version, fCredit, 0x05, 0x01})
 	f.Add([]byte{magic0, magic1, version, fData, 0x01, 0x01, 'x', 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{magic0, magic1, version, 0x7F, 0x01})
+	// Type 0x03 is unassigned: rejected as unknown.
+	f.Add([]byte{magic0, magic1, version, 0x03, 0x00, 0x05, 0x03, 'b', 'y', 'e'})
 	f.Add([]byte{magic0, magic1, 0x01, fData, 0x01})
 	f.Add([]byte{'B', 'Y', version, fData, 0x01})
 	f.Add([]byte{})
@@ -60,11 +62,16 @@ func FuzzFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
+			switch f.typ {
+			case fData, fRst, fCredit, fChunk:
+			default:
+				t.Fatalf("unknown frame type %#x decoded", f.typ)
+			}
 			if f.typ == fData || f.typ == fChunk {
 				if f.payload == nil {
 					t.Fatalf("%#x frame decoded with nil payload", f.typ)
 				}
-				if f.payload.Len() > MaxFrameSize {
+				if f.payload.Len() > framing.MaxFrameSize {
 					t.Fatalf("payload length %d exceeds MaxFrameSize", f.payload.Len())
 				}
 				f.payload.Release()
@@ -74,7 +81,7 @@ func FuzzFrame(f *testing.F) {
 			if f.typ == fCredit && (f.credit == 0 || f.credit > maxCreditGrant) {
 				t.Fatalf("credit grant %d escaped its bounds", f.credit)
 			}
-			if (f.typ == fRst || f.typ == fGoaway) && len(f.detail) > maxDetailLen {
+			if f.typ == fRst && len(f.detail) > maxDetailLen {
 				t.Fatalf("detail length %d escaped its bound", len(f.detail))
 			}
 		}
@@ -116,11 +123,6 @@ func TestFrameRoundTrip(t *testing.T) {
 			"credit",
 			frameBytes(func(w *bufio.Writer) { writeCredit(w, 128) }),
 			frame{typ: fCredit, credit: 128},
-		},
-		{
-			"goaway",
-			frameBytes(func(w *bufio.Writer) { writeGoaway(w, GoawayShutdown, "bye") }),
-			frame{typ: fGoaway, code: GoawayShutdown, detail: "bye"},
 		},
 	}
 	for _, tc := range cases {
@@ -165,12 +167,12 @@ func TestFrameHostileLengthBoundsAllocation(t *testing.T) {
 	if _, err := fr.read(bufio.NewReader(bytes.NewReader(build(1<<30, 0)))); err == nil {
 		t.Error("hostile content-type length accepted")
 	}
-	if _, err := fr.read(bufio.NewReader(bytes.NewReader(build(4, uint64(MaxFrameSize)+1)))); err == nil {
+	if _, err := fr.read(bufio.NewReader(bytes.NewReader(build(4, uint64(framing.MaxFrameSize)+1)))); err == nil {
 		t.Error("hostile payload length accepted")
 	}
 	// In-range but lying length: must fail on truncation without having
 	// allocated the claimed size up front (ReadPayload grows chunkwise).
-	if _, err := fr.read(bufio.NewReader(bytes.NewReader(build(4, uint64(MaxFrameSize))))); err == nil {
+	if _, err := fr.read(bufio.NewReader(bytes.NewReader(build(4, uint64(framing.MaxFrameSize))))); err == nil {
 		t.Error("truncated frame with in-range length accepted")
 	}
 }

@@ -61,7 +61,7 @@ func waitPayloadsSettled(t *testing.T, baseline int64) {
 
 func TestMuxRoundTrip(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	addr, _ := startServer(t, nw, echoHandler, Config{})
 	tr := NewTransport(nw.Dial, addr, WithMaxSessions(2))
 	defer tr.Close()
@@ -85,7 +85,7 @@ func TestMuxRoundTrip(t *testing.T) {
 // with no payload leaking through the demux boundary.
 func TestMuxConcurrentFewConnections(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	o := obs.New()
 	// Queue sized past the whole client window so nothing sheds: this test
 	// measures completion, not admission control.
@@ -120,7 +120,7 @@ func TestMuxConcurrentFewConnections(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.Sessions(); n > 4 {
+	if n := liveSessions(tr); n > 4 {
 		t.Errorf("transport used %d connections, budget was 4", n)
 	}
 	if hw := o.GaugeHighWater(obs.MuxStreamsPerConn); hw < 2 {
@@ -135,7 +135,7 @@ func TestMuxConcurrentFewConnections(t *testing.T) {
 // leave the session healthy for the calls that were admitted.
 func TestMuxOverloadShedClassified(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	rec := obs.NewRecorder(obs.RecorderConfig{})
 	o := obs.New(obs.WithRecorder(rec))
 	gate := make(chan struct{})
@@ -209,7 +209,7 @@ func TestMuxOverloadShedClassified(t *testing.T) {
 // but the session keeps serving new bindings on the same connection.
 func TestMuxCancelAbandonsStreamNotSession(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	block := make(chan struct{})
 	h := func(ctx context.Context, req *core.Envelope) (*core.Envelope, error) {
 		if sel := req.Body(); sel != nil && sel.ElemName().Local == "hang" {
@@ -252,7 +252,7 @@ func TestMuxCancelAbandonsStreamNotSession(t *testing.T) {
 	if !resp.Equal(env) {
 		t.Error("response does not match request")
 	}
-	if n := tr.Sessions(); n != 1 {
+	if n := liveSessions(tr); n != 1 {
 		t.Errorf("transport has %d sessions, want 1 (cancel must not retire the connection)", n)
 	}
 	close(block)
@@ -265,7 +265,7 @@ func TestMuxCancelAbandonsStreamNotSession(t *testing.T) {
 // and pool retirement of poisoned bindings never kills shared sessions.
 func TestMuxSvcpoolIntegration(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	addr, _ := startServer(t, nw, echoHandler, Config{StreamCredit: 256, Queue: 512})
 	tr := NewTransport(nw.Dial, addr, WithMaxSessions(2))
 	defer tr.Close()
@@ -294,7 +294,7 @@ func TestMuxSvcpoolIntegration(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.Sessions(); n > 2 {
+	if n := liveSessions(tr); n > 2 {
 		t.Errorf("pool drove %d connections, budget was 2", n)
 	}
 	pool.Close()
@@ -306,7 +306,7 @@ func TestMuxSvcpoolIntegration(t *testing.T) {
 // call over the mux transport produces a server hop bound to the client's
 // trace ID.
 func TestMuxTracePropagation(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	srvRec := obs.NewRecorder(obs.RecorderConfig{})
 	srvObs := obs.New(obs.WithRecorder(srvRec), obs.WithNode("srv"))
 	addr, _ := startServer(t, nw, echoHandler, Config{}, core.WithObserver(srvObs))
@@ -354,7 +354,7 @@ func TestMuxServerRejectsProtocolViolations(t *testing.T) {
 	}
 	run := func(t *testing.T, cfg Config, raw []byte) {
 		t.Helper()
-		nw := netsim.New(netsim.Unshaped)
+		nw := netsim.New(netsim.Profile{})
 		addr, _ := startServer(t, nw, blocking, cfg)
 		c, err := nw.Dial(addr)
 		if err != nil {
@@ -380,8 +380,8 @@ func TestMuxServerRejectsProtocolViolations(t *testing.T) {
 	t.Run("credit from client", func(t *testing.T) {
 		run(t, Config{}, []byte{magic0, magic1, version, fCredit, 0x00, 0x05})
 	})
-	t.Run("goaway from client", func(t *testing.T) {
-		run(t, Config{}, []byte{magic0, magic1, version, fGoaway, 0x00, 0x01, 0x00})
+	t.Run("unassigned type 3 from client", func(t *testing.T) {
+		run(t, Config{}, []byte{magic0, magic1, version, 0x03, 0x00, 0x01, 0x00})
 	})
 	t.Run("bad magic", func(t *testing.T) {
 		run(t, Config{}, []byte{'N', 'O', version, fData, 0x01})
@@ -400,7 +400,7 @@ func TestMuxServerRejectsProtocolViolations(t *testing.T) {
 // A server that violates the protocol from the client's point of view
 // (CREDIT on a data stream) fails the session with a classified error.
 func TestMuxClientRejectsBadServer(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	l, err := nw.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -424,4 +424,18 @@ func TestMuxClientRejectsBadServer(t *testing.T) {
 	if !core.IsTransportError(err) {
 		t.Errorf("session failure not classified: %v", err)
 	}
+}
+
+// liveSessions reports how many connections the transport holds open, for
+// tests asserting the socket budget.
+func liveSessions(t *Transport) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, s := range t.sessions {
+		if s != nil && !s.dead() {
+			n++
+		}
+	}
+	return n
 }

@@ -23,7 +23,7 @@ import (
 // asserts nothing leaks.
 func TestMuxDeliverAbandonRaceNoLeak(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	// Queue sized past the test's whole window so sheds never mix
 	// classified overload errors into the cancellation outcomes.
 	addr, _ := startServer(t, nw, echoHandler, Config{StreamCredit: 256, Queue: 2048})
@@ -102,7 +102,7 @@ func (c *closeCountConn) Close() error {
 // session() calls against a tiny budget must return only live sessions,
 // stay within the connection budget, and strand no sockets.
 func TestMuxSessionDialRaceWithinBudget(t *testing.T) {
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	addr, _ := startServer(t, nw, echoHandler, Config{})
 	cd := &closeCounting{dial: nw.Dial}
 	const budget = 2
@@ -138,7 +138,7 @@ func TestMuxSessionDialRaceWithinBudget(t *testing.T) {
 	if len(distinct) > budget {
 		t.Errorf("callers saw %d distinct sessions, budget was %d", len(distinct), budget)
 	}
-	if n := tr.Sessions(); n > budget {
+	if n := liveSessions(tr); n > budget {
 		t.Errorf("transport holds %d sessions, budget was %d", n, budget)
 	}
 	// Every dial beyond the installed winners must have been closed by its

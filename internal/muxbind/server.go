@@ -119,7 +119,7 @@ type Server[E core.Encoding] struct {
 
 // NewServer composes a mux server from an encoding policy, a handler, a
 // scheduling config, and the shared server options (WithObserver,
-// WithUnderstood).
+// WithTemplates).
 func NewServer[E core.Encoding](enc E, h core.Handler, cfg Config, opts ...core.ServerOption) *Server[E] {
 	cfg = cfg.withDefaults()
 	disp := core.NewDispatcher(enc, h, opts...)
@@ -487,8 +487,8 @@ func (sc *srvConn) readLoop() {
 				c.fail(&core.TransportError{Op: "mux stream", Err: context.Canceled})
 			}
 		default:
-			// CREDIT and GOAWAY are server→client; a client sending one is
-			// broken, and there is no stream to reset it on.
+			// CREDIT is server→client; a client sending one is broken, and
+			// there is no stream to reset it on.
 			sc.fail(fmt.Errorf("unexpected %#x frame from client", f.typ))
 			return
 		}

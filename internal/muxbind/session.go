@@ -275,9 +275,6 @@ func (s *Session) readLoop() {
 					i = f.credit
 				}
 			}
-		case fGoaway:
-			s.fail("mux goaway", fmt.Errorf("server going away (%s): %s", rstCodeName(f.code), f.detail))
-			return
 		}
 	}
 }

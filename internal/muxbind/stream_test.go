@@ -42,7 +42,7 @@ func TestMuxStreamedExchange(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := core.PayloadsInUse()
-			nw := netsim.New(netsim.Unshaped)
+			nw := netsim.New(netsim.Profile{})
 			addr, _ := startServer(t, nw, echoHandler, tc.cfg)
 			tr := NewTransport(nw.Dial, addr, WithMaxSessions(1))
 			defer tr.Close()
@@ -69,7 +69,7 @@ func TestMuxStreamedExchange(t *testing.T) {
 // must interleave with small DATA exchanges without corrupting either.
 func TestMuxStreamedInterleaving(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	addr, _ := startServer(t, nw, echoHandler, Config{ChunkBytes: 16 << 10, Queue: 2048, StreamCredit: 256})
 	tr := NewTransport(nw.Dial, addr, WithMaxSessions(1))
 	defer tr.Close()
@@ -118,7 +118,7 @@ func TestMuxStreamedInterleaving(t *testing.T) {
 // the shared session survives to carry the next exchange.
 func TestMuxStreamedFaultAfterBadRequest(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	addr, _ := startServer(t, nw, echoHandler, Config{ChunkBytes: 16 << 10})
 	tr := NewTransport(nw.Dial, addr, WithMaxSessions(1))
 	defer tr.Close()
@@ -170,7 +170,7 @@ func TestMuxStreamedFaultAfterBadRequest(t *testing.T) {
 // shared session keeps serving others.
 func TestMuxStreamedCancelAbandonsStream(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	block := make(chan struct{})
 	addr, _ := startServer(t, nw, func(ctx context.Context, req *core.Envelope) (*core.Envelope, error) {
 		select {
@@ -222,7 +222,7 @@ func TestMuxStreamedCancelAbandonsStream(t *testing.T) {
 // ErrOverloaded well before the caller's deadline, not a silent stall.
 func TestMuxStreamedWindowShedResets(t *testing.T) {
 	baseline := core.PayloadsInUse()
-	nw := netsim.New(netsim.Unshaped)
+	nw := netsim.New(netsim.Profile{})
 	o := obs.New()
 	entered := make(chan struct{}, 1)
 	gate := make(chan struct{})

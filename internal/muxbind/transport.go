@@ -95,20 +95,6 @@ func (t *Transport) NewBinding() *Binding {
 	return b
 }
 
-// Sessions reports how many connections the transport currently holds open
-// (for tests asserting the socket budget).
-func (t *Transport) Sessions() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, s := range t.sessions {
-		if s != nil && !s.dead() {
-			n++
-		}
-	}
-	return n
-}
-
 // session picks the next round-robin slot, dialing or re-dialing it if the
 // slot is empty or its session has died. Dial failures are classified.
 //

@@ -97,16 +97,6 @@ func StringAttr(name, value string) Attribute {
 	return Attribute{Name: name, Type: Char, Values: value}
 }
 
-// DoubleAttr builds a Double attribute.
-func DoubleAttr(name string, vals ...float64) Attribute {
-	return Attribute{Name: name, Type: Double, Values: vals}
-}
-
-// IntAttr builds an Int attribute.
-func IntAttr(name string, vals ...int32) Attribute {
-	return Attribute{Name: name, Type: Int, Values: vals}
-}
-
 // Variable is one named array over dimensions. Data holds the full values
 // in row-major order: []int8, string, []int16, []int32, []float32 or
 // []float64 matching Type. A variable whose first dimension is the record

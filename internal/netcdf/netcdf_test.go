@@ -5,7 +5,6 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,8 +21,8 @@ func sampleFile() *File {
 		Dims: []Dimension{{Name: "model", Length: n}},
 		Attrs: []Attribute{
 			StringAttr("title", "LEAD-like atmospheric sample"),
-			DoubleAttr("version", 1.5),
-			IntAttr("levels", 1, 2, 3),
+			{Name: "version", Type: Double, Values: []float64{1.5}},
+			{Name: "levels", Type: Int, Values: []int32{1, 2, 3}},
 		},
 		Vars: []Variable{
 			{
@@ -339,33 +338,5 @@ func BenchmarkMarshal1000Pairs(b *testing.B) {
 		if _, err := f.Marshal(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestCDLRendering(t *testing.T) {
-	out := sampleFile().CDL("sample")
-	for _, want := range []string{
-		"netcdf sample {",
-		"model = 100 ;",
-		"int index(model) ;",
-		"double values(model) ;",
-		`index:units = "count" ;`,
-		`:title = "LEAD-like atmospheric sample" ;`,
-		":version = 1.5 ;",
-		":levels = 1, 2, 3 ;",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("CDL missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestCDLUnlimitedDimension(t *testing.T) {
-	f := &File{
-		Dims: []Dimension{{Name: "time", Length: 0}},
-		Vars: []Variable{{Name: "t", Type: Short, Dims: []string{"time"}, Data: []int16{1}}},
-	}
-	if out := f.CDL("rec"); !strings.Contains(out, "time = UNLIMITED ;") {
-		t.Errorf("CDL = %s", out)
 	}
 }

@@ -35,12 +35,10 @@
 package netsim
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"bxsoap/internal/core"
 	"bxsoap/internal/obs"
 )
 
@@ -92,8 +90,6 @@ var (
 		PathBandwidth:   60 << 20,
 		StreamBandwidth: 11 << 20,
 	}
-	// Unshaped passes traffic through untouched (for tests).
-	Unshaped = Profile{Name: "unshaped"}
 )
 
 // Network is one emulated link. The same Network must be used for both the
@@ -266,72 +262,4 @@ func (b *bucket) reserve(n int) time.Duration {
 	wait := b.nextFree.Sub(now)
 	b.mu.Unlock()
 	return wait
-}
-
-// classify wraps a measurement-path wire failure; unlike the net.Conn
-// surface above, MeasureRTT owns its whole exchange, so its errors follow
-// the repo-wide classification protocol.
-//
-//paylint:classifies
-func classify(op string, err error) error {
-	return &core.TransportError{Op: "netsim " + op, Err: err}
-}
-
-// MeasureRTT estimates the effective request-response latency of the
-// network by timing a 1-byte ping-pong over a fresh connection (useful in
-// tests and for calibration output).
-func MeasureRTT(n *Network) (time.Duration, error) {
-	l, err := n.Listen("127.0.0.1:0")
-	if err != nil {
-		return 0, classify("listen", err)
-	}
-	defer l.Close()
-	errc := make(chan error, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			errc <- err
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 1)
-		for i := 0; i < 4; i++ {
-			if _, err := c.Read(buf); err != nil {
-				errc <- err
-				return
-			}
-			if _, err := c.Write(buf); err != nil {
-				errc <- err
-				return
-			}
-		}
-		errc <- nil
-	}()
-	c, err := n.Dial(l.Addr().String())
-	if err != nil {
-		return 0, classify("dial", err)
-	}
-	defer c.Close()
-	buf := make([]byte, 1)
-	// Warm up once, then time three round trips.
-	if _, err := c.Write(buf); err != nil {
-		return 0, classify("ping", err)
-	}
-	if _, err := c.Read(buf); err != nil {
-		return 0, classify("ping", err)
-	}
-	start := clk.Now()
-	for i := 0; i < 3; i++ {
-		if _, err := c.Write(buf); err != nil {
-			return 0, classify("ping", err)
-		}
-		if _, err := c.Read(buf); err != nil {
-			return 0, classify("ping", err)
-		}
-	}
-	rtt := clk.Now().Sub(start) / 3
-	if err := <-errc; err != nil {
-		return 0, classify("ping server", fmt.Errorf("netsim: ping server: %w", err))
-	}
-	return rtt, nil
 }

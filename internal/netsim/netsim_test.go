@@ -37,13 +37,48 @@ func drainServer(t *testing.T, n *Network) (net.Conn, func()) {
 	}
 }
 
-func TestRTTInjection(t *testing.T) {
-	prof := Profile{Name: "test", RTT: 10 * time.Millisecond}
-	n := New(prof)
-	rtt, err := MeasureRTT(n)
+// pingRTT times a 1-byte ping-pong over a fresh connection: one warm-up
+// exchange, then the mean of three.
+func pingRTT(t *testing.T, n *Network) time.Duration {
+	t.Helper()
+	l, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.CopyN(c, c, 4)
+	}()
+	c, err := n.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 1)
+	var start time.Time
+	for i := 0; i < 4; i++ {
+		if i == 1 {
+			start = time.Now()
+		}
+		if _, err := c.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return time.Since(start) / 3
+}
+
+func TestRTTInjection(t *testing.T) {
+	prof := Profile{Name: "test", RTT: 10 * time.Millisecond}
+	n := New(prof)
+	rtt := pingRTT(t, n)
 	// A 1-byte ping-pong should cost about one RTT (half per direction).
 	if rtt < prof.RTT || rtt > prof.RTT*3 {
 		t.Errorf("measured RTT %v, configured %v", rtt, prof.RTT)
@@ -164,7 +199,7 @@ func TestParallelStreamsEscapeWindowLimit(t *testing.T) {
 }
 
 func TestUnshapedPassthrough(t *testing.T) {
-	n := New(Unshaped)
+	n := New(Profile{})
 	c, cleanup := drainServer(t, n)
 	defer cleanup()
 	start := time.Now()

@@ -47,14 +47,8 @@ func TestSleepPreciseZeroAndNegative(t *testing.T) {
 }
 
 func TestWANSlowerThanLAN(t *testing.T) {
-	lan, err := MeasureRTT(New(LAN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wan, err := MeasureRTT(New(WAN))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lan := pingRTT(t, New(LAN))
+	wan := pingRTT(t, New(WAN))
 	if wan < lan*5 {
 		t.Errorf("WAN RTT (%v) not clearly above LAN RTT (%v)", wan, lan)
 	}

@@ -290,10 +290,9 @@ func (g GaugeID) String() string {
 // are safe for concurrent use, and all recording methods are no-ops on a
 // nil receiver (see the package comment for the nil-sink contract).
 type Observer struct {
-	now   func() time.Time
-	trace func(Stage, time.Duration)
-	node  string
-	rec   *Recorder
+	now  func() time.Time
+	node string
+	rec  *Recorder
 
 	// Windowed-metric state. winDur is the window duration ticks are
 	// derived from; curTick caches the tick the last clocked recording path
@@ -310,7 +309,7 @@ type Observer struct {
 	// RecordOp on an Observer without dimensional metrics is one branch.
 	encoding  string
 	transport string
-	seriesCap int
+	dims      bool
 	reg       *Registry
 	slos      *sloSet
 	sloDecls  []SLO
@@ -327,14 +326,6 @@ type Option func(*Observer)
 // tests and simulations. The default is time.Now.
 func WithNow(now func() time.Time) Option {
 	return func(o *Observer) { o.now = now }
-}
-
-// WithTrace installs a hook receiving every stage observation in recording
-// order (the span-tracing seam: tests assert stage ordering through it, and
-// an external tracer can ship the events elsewhere). The hook runs inline
-// on the instrumented goroutine — keep it cheap and data-race free.
-func WithTrace(fn func(Stage, time.Duration)) Option {
-	return func(o *Observer) { o.trace = fn }
 }
 
 // WithNode labels the Observer with the node name its hops and events carry
@@ -359,9 +350,7 @@ func WithDims(encoding, transport string) Option {
 	return func(o *Observer) {
 		o.encoding = encoding
 		o.transport = transport
-		if o.seriesCap == 0 {
-			o.seriesCap = DefaultSeriesLimit
-		}
+		o.dims = true
 	}
 }
 
@@ -371,17 +360,6 @@ func WithWindow(d time.Duration) Option {
 	return func(o *Observer) {
 		if d > 0 {
 			o.winDur = d
-		}
-	}
-}
-
-// WithSeriesLimit bounds the dimensional registry's cardinality: past n
-// materialized series, new label combinations land in the shared overflow
-// series. n <= 0 keeps DefaultSeriesLimit.
-func WithSeriesLimit(n int) Option {
-	return func(o *Observer) {
-		if n > 0 {
-			o.seriesCap = n
 		}
 	}
 }
@@ -401,11 +379,8 @@ func New(opts ...Option) *Observer {
 	for _, opt := range opts {
 		opt(o)
 	}
-	if o.seriesCap > 0 || len(o.sloDecls) > 0 {
-		if o.seriesCap == 0 {
-			o.seriesCap = DefaultSeriesLimit
-		}
-		o.reg = newRegistry(o.seriesCap)
+	if o.dims || len(o.sloDecls) > 0 {
+		o.reg = newRegistry()
 		o.slos = newSLOSet(o.sloDecls)
 	}
 	if o.slos != nil && o.rec != nil {
@@ -427,15 +402,6 @@ func (o *Observer) tickAt(now time.Time) int64 {
 	}
 	o.curTick.Store(t)
 	return t
-}
-
-// Tick returns the current window tick (0 on a nil Observer). It reads no
-// clock: the value is whatever the last clocked recording path computed.
-func (o *Observer) Tick() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.curTick.Load()
 }
 
 // NextWindow forces an immediate window rotation, as if a full window
@@ -567,9 +533,6 @@ func (o *Observer) ObserveStage(st Stage, d time.Duration) {
 		return
 	}
 	o.stages[st].Observe(d, o.curTick.Load())
-	if o.trace != nil {
-		o.trace(st, d)
-	}
 }
 
 // StageSnapshot returns a point-in-time snapshot of stage st's lifetime
@@ -614,16 +577,6 @@ func (o *Observer) RecordOp(op, role string, d time.Duration, failed bool, tid T
 		st.record(d, failed, tick, tid)
 		o.evalSLO(st, tick)
 	}
-}
-
-// Registry exposes the dimensional series registry (nil when dimensional
-// metrics are disabled or the Observer is nil — and a nil *Registry is
-// itself a no-op sink).
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.reg
 }
 
 // Dimensional reports whether RecordOp will record anything — the gate

@@ -89,8 +89,7 @@ type RecorderConfig struct {
 	Events int
 	// SlowThreshold routes a trace into the slow ring once any of its hops
 	// takes at least this long. Default 1ms; negative disables the ring.
-	// Adjustable at runtime via Recorder.SetSlowThreshold, and
-	// auto-tightened to each declared SLO's P99 target when the recorder's
+	// Auto-tightened to each declared SLO's P99 target when the recorder's
 	// observer declares objectives (see WithSLOs).
 	SlowThreshold time.Duration
 }
@@ -159,20 +158,6 @@ func (r *Recorder) SlowThreshold() time.Duration {
 		return 0
 	}
 	return time.Duration(r.slowThresh.Load())
-}
-
-// SetSlowThreshold replaces the slow-trace threshold at runtime: hops of at
-// least d now route their trace into the slow ring. Negative d disables
-// the ring; d == 0 restores the construction-time value. No-op on a nil
-// Recorder.
-func (r *Recorder) SetSlowThreshold(d time.Duration) {
-	if r == nil {
-		return
-	}
-	if d == 0 {
-		d = r.cfg.SlowThreshold
-	}
-	r.slowThresh.Store(int64(d))
 }
 
 // TightenSlowThreshold lowers the slow-trace threshold to d if d is
@@ -289,16 +274,6 @@ func (r *Recorder) Trace(id TraceID) *TraceTree {
 		return nil
 	}
 	return e.tree()
-}
-
-// Dropped reports how many traces have been evicted from the recent ring.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 func treesOf(entries []*traceEntry, n int) []*TraceTree {

@@ -18,7 +18,7 @@ package obs
 // Cardinality is a denial-of-service surface: operation names come from
 // peer-controlled envelopes, and a hostile client cycling random operation
 // names must not grow the map without bound. Past the series limit
-// (WithSeriesLimit) every new key lands in one shared, explicitly labeled
+// (DefaultSeriesLimit) every new key lands in one shared, explicitly labeled
 // overflow series (OverflowOp) and bumps the SeriesOverflow counter:
 // dashboards degrade to an honest "other" bucket instead of the process
 // OOMing.
@@ -117,21 +117,6 @@ func (s *Series) Exemplar(i int) TraceID {
 	return TraceID(s.exemplars[i].Load())
 }
 
-// TailExemplar returns the captured TraceID from the highest-latency bucket
-// at or above the bucket containing d — the trace to look at when the tail
-// beyond d regresses. 0 when no such exemplar exists or on a nil receiver.
-func (s *Series) TailExemplar(d time.Duration) TraceID {
-	if s == nil {
-		return 0
-	}
-	for i := NumBuckets - 1; i >= bucketFor(d); i-- {
-		if id := s.exemplars[i].Load(); id != 0 {
-			return TraceID(id)
-		}
-	}
-	return 0
-}
-
 // SeriesSnapshot is the exported, JSON-serializable state of one series
 // over a chosen window span plus its lifetime aggregate.
 type SeriesSnapshot struct {
@@ -181,11 +166,8 @@ type Registry struct {
 	dropped  Counter // keyed recordings routed to the overflow series
 }
 
-func newRegistry(limit int) *Registry {
-	if limit <= 0 {
-		limit = DefaultSeriesLimit
-	}
-	r := &Registry{limit: limit}
+func newRegistry() *Registry {
+	r := &Registry{limit: DefaultSeriesLimit}
 	r.overflow.key = SeriesKey{Op: OverflowOp}
 	m := make(map[SeriesKey]*Series)
 	r.series.Store(&m)
@@ -226,23 +208,6 @@ func (r *Registry) insert(key SeriesKey) *Series {
 	next[key] = s
 	r.series.Store(&next)
 	return s
-}
-
-// Overflow returns the shared overflow series (nil on a nil receiver).
-func (r *Registry) Overflow() *Series {
-	if r == nil {
-		return nil
-	}
-	return &r.overflow
-}
-
-// Dropped returns how many recordings were routed to the overflow series
-// because the registry was full (0 on a nil receiver).
-func (r *Registry) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped.Load()
 }
 
 // Len returns the number of materialized series, the overflow series

@@ -64,9 +64,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// NumStages is the number of defined stages (for tests and tabulation).
-const NumStages = int(numStages)
-
 // Span measures a sequence of consecutive stages on one goroutine: each
 // Mark records the time since the previous Mark (or since the span began)
 // into that stage's histogram and restarts the clock. A Span is a plain
@@ -126,14 +123,4 @@ func (s *Span) Total() time.Duration {
 		return 0
 	}
 	return s.last.Sub(s.start)
-}
-
-// Restart resets the span clock without recording — for skipping a stage
-// that did not run (e.g. a cache hit) so its cost does not leak into the
-// next mark.
-func (s *Span) Restart() {
-	if s.o == nil {
-		return
-	}
-	s.last = s.o.now()
 }

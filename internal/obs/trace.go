@@ -152,21 +152,6 @@ func (h *Hop) observe(st Stage, d time.Duration) {
 	h.stages = append(h.stages, StageSpan{Stage: st, Name: st.String(), Dur: d})
 }
 
-// StageDur sums the hop's recorded intervals for one stage (retried stages
-// appear once per attempt).
-func (h *Hop) StageDur(st Stage) time.Duration {
-	if h == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, s := range h.stages {
-		if s.Stage == st {
-			d += s.Dur
-		}
-	}
-	return d
-}
-
 // Tracing reports whether the observer has a flight recorder attached —
 // i.e. whether starting hops is worthwhile. False on a nil Observer.
 func (o *Observer) Tracing() bool {

@@ -127,8 +127,8 @@ func TestRecorderRecentRingEvicts(t *testing.T) {
 	if got := len(rec.Recent(0)); got != 4 {
 		t.Fatalf("Recent ring holds %d, want 4", got)
 	}
-	if rec.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", rec.Dropped())
+	if rec.dropped != 6 {
+		t.Fatalf("dropped = %d, want 6", rec.dropped)
 	}
 	if rec.Trace(first) != nil {
 		t.Fatal("evicted trace still resolvable")
@@ -185,7 +185,7 @@ func TestRecorderEventJournal(t *testing.T) {
 	}
 }
 
-func TestHopRecordsErrorAndStageDur(t *testing.T) {
+func TestHopRecordsErrorAndStages(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{})
 	o := fakeClockObs(rec, "n", time.Millisecond)
 	h := o.StartHop(RoleClient)
@@ -194,8 +194,8 @@ func TestHopRecordsErrorAndStageDur(t *testing.T) {
 	sp.Mark(ClientSend)
 	sp.Mark(ClientWait)
 	o.FinishHop(h, errTest)
-	if d := h.StageDur(ClientSend); d != time.Millisecond {
-		t.Fatalf("StageDur(ClientSend) = %v", d)
+	if d := stageSum(h.stages, ClientSend); d != time.Millisecond {
+		t.Fatalf("ClientSend = %v", d)
 	}
 	tree := rec.Recent(1)[0]
 	if tree.Root.Err != "test error" {

@@ -139,24 +139,25 @@ func TestNextWindowExcludesEarlierSamples(t *testing.T) {
 // keys share the overflow series and the SeriesOverflow counter counts the
 // redirected samples — the cardinality-attack backstop.
 func TestRegistryCardinalityOverflow(t *testing.T) {
-	o := New(WithDims("bxsa", "tcp"), WithSeriesLimit(2))
+	o := New(WithDims("bxsa", "tcp"))
+	o.reg.limit = 2
 	o.RecordOp("alpha", RoleServer, time.Millisecond, false, 0)
 	o.RecordOp("beta", RoleServer, time.Millisecond, false, 0)
 	for i := 0; i < 3; i++ {
 		o.RecordOp("hostile-"+strings.Repeat("x", i+1), RoleServer, time.Millisecond, true, 0)
 	}
 
-	reg := o.Registry()
+	reg := o.reg
 	if got := reg.Len(); got != 2 {
 		t.Errorf("registry len = %d, want 2", got)
 	}
-	if got := reg.Dropped(); got != 3 {
+	if got := reg.dropped.Load(); got != 3 {
 		t.Errorf("dropped = %d, want 3", got)
 	}
 	if got := o.Counter(SeriesOverflow); got != 3 {
 		t.Errorf("SeriesOverflow counter = %d, want 3", got)
 	}
-	if got := reg.Overflow().Latency().Lifetime().Count; got != 3 {
+	if got := reg.overflow.Latency().Lifetime().Count; got != 3 {
 		t.Errorf("overflow series count = %d, want 3", got)
 	}
 
@@ -198,11 +199,11 @@ func TestExemplarCaptureConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := o.Registry().Lookup(SeriesKey{Op: "op", Encoding: "bxsa", Transport: "tcp", Role: RoleClient})
+	s := o.reg.Lookup(SeriesKey{Op: "op", Encoding: "bxsa", Transport: "tcp", Role: RoleClient})
 	if s == nil {
 		t.Fatal("series not found")
 	}
-	got := s.TailExemplar(50 * time.Millisecond)
+	got := s.Exemplar(bucketFor(50 * time.Millisecond))
 	if got == 0 {
 		t.Fatal("no exemplar captured")
 	}
@@ -338,7 +339,7 @@ func TestSLOErrorRateOnly(t *testing.T) {
 
 // Declaring an SLO tightens the shared recorder's slow-trace threshold to
 // the objective's p99, so breaching requests are guaranteed to land in the
-// slow ring; SetSlowThreshold(0) restores the construction-time value.
+// slow ring.
 func TestSLOTightensRecorderSlowThreshold(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{SlowThreshold: 50 * time.Millisecond})
 	New(WithRecorder(rec), WithSLOs(SLO{Op: "op", P99: 10 * time.Millisecond}))
@@ -350,12 +351,8 @@ func TestSLOTightensRecorderSlowThreshold(t *testing.T) {
 	if got := rec.SlowThreshold(); got != 10*time.Millisecond {
 		t.Errorf("slow threshold = %v after looser tighten, want 10ms", got)
 	}
-	rec.SetSlowThreshold(0)
-	if got := rec.SlowThreshold(); got != 50*time.Millisecond {
-		t.Errorf("slow threshold = %v after reset, want config's 50ms", got)
-	}
 	// A disabled ring stays disabled through tightening.
-	rec.SetSlowThreshold(-1)
+	rec = NewRecorder(RecorderConfig{SlowThreshold: -1})
 	rec.TightenSlowThreshold(time.Millisecond)
 	if got := rec.SlowThreshold(); got >= 0 {
 		t.Errorf("slow threshold = %v, want negative (disabled)", got)

@@ -249,9 +249,6 @@ func (p *Proto) count(nodes []bxdm.Node) error {
 	return nil
 }
 
-// Slots reports the number of variable slots an instantiation consumes.
-func (p *Proto) Slots() int { return p.n.slots }
-
 // arena pre-allocates every node of one instantiation in a few contiguous
 // blocks so a templated decode costs O(node kinds) allocations, not
 // O(nodes).

@@ -92,8 +92,8 @@ func TestProtoInstantiate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Slots() != 4 {
-		t.Fatalf("slots = %d, want 4", p.Slots())
+	if p.n.slots != 4 {
+		t.Fatalf("slots = %d, want 4", p.n.slots)
 	}
 	want := tree([]int32{4, 5}, []float64{6.5, -7}, "hi", 42)
 	var vars []Var

@@ -218,15 +218,6 @@ func (p *Pool[E, B]) call(ctx context.Context, req *core.Envelope, retry bool) (
 // Send performs a one-way exchange through the pool with retry; the same
 // idempotency caveat as Call applies.
 func (p *Pool[E, B]) Send(ctx context.Context, req *core.Envelope) error {
-	return p.send(ctx, req, true)
-}
-
-// SendOnce performs a single one-way attempt with no retry.
-func (p *Pool[E, B]) SendOnce(ctx context.Context, req *core.Envelope) error {
-	return p.send(ctx, req, false)
-}
-
-func (p *Pool[E, B]) send(ctx context.Context, req *core.Envelope, retry bool) error {
 	req, hop := core.BeginClientTrace(p.obs, req)
 	ctx = obs.ContextWithHop(ctx, hop)
 	var op string
@@ -241,7 +232,7 @@ func (p *Pool[E, B]) send(ctx context.Context, req *core.Envelope, retry bool) e
 			payload.Release()
 		}
 	}()
-	err := p.do(ctx, retry, func(actx context.Context, eng *core.Engine[E, B]) error {
+	err := p.do(ctx, true, func(actx context.Context, eng *core.Engine[E, B]) error {
 		if payload == nil {
 			sp := p.obs.SpanWith(hop)
 			var err error

@@ -9,6 +9,7 @@ import (
 
 	"bxsoap/internal/bxdm"
 	"bxsoap/internal/core"
+	"bxsoap/internal/framing"
 	"bxsoap/internal/obs"
 	"bxsoap/internal/vls"
 )
@@ -68,7 +69,7 @@ func TestStreamedHighWaterUnderBudget(t *testing.T) {
 // not the declared size.
 func TestHostileChunkLengthBoundsAllocation(t *testing.T) {
 	script := []byte{0x00} // flags: not last, no reserved bits
-	script = vls.AppendUint(script, uint64(MaxFrameSize)-1)
+	script = vls.AppendUint(script, uint64(framing.MaxFrameSize)-1)
 	script = append(script, "only a few bytes"...)
 
 	var before, after runtime.MemStats
@@ -87,7 +88,7 @@ func TestHostileChunkLengthBoundsAllocation(t *testing.T) {
 	// A declared length past the limit must be rejected before any
 	// allocation is sized from it.
 	script = []byte{0x00}
-	script = vls.AppendUint(script, uint64(MaxFrameSize)+1)
+	script = vls.AppendUint(script, uint64(framing.MaxFrameSize)+1)
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	payload, _, err = readChunkFrame(bufio.NewReader(bytes.NewReader(script)))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bxsoap/internal/core"
+	"bxsoap/internal/framing"
 	"bxsoap/internal/vls"
 )
 
@@ -107,7 +108,7 @@ func TestPoisonOnBadVersion(t *testing.T) {
 
 func TestPoisonOnOversizedFrame(t *testing.T) {
 	script := frameHeader(version, "application/x-bxsa")
-	script = vls.AppendUint(script, uint64(MaxFrameSize)+1)
+	script = vls.AppendUint(script, uint64(framing.MaxFrameSize)+1)
 	addr := scriptedServer(t, script, false)
 	b := New(NetDialer, addr.String())
 	defer b.Close()
@@ -181,7 +182,7 @@ func TestHealthyAfterCleanExchange(t *testing.T) {
 // size.
 func TestHostileLengthBoundsAllocation(t *testing.T) {
 	script := frameHeader(version, "application/x-bxsa")
-	script = vls.AppendUint(script, uint64(MaxFrameSize)-1)
+	script = vls.AppendUint(script, uint64(framing.MaxFrameSize)-1)
 	script = append(script, "only a few bytes"...)
 
 	var before, after runtime.MemStats
@@ -208,8 +209,8 @@ func TestHostileLengthBoundsAllocation(t *testing.T) {
 // v1 ctLen/len pair, claim ~1 GB.
 func TestRejectsExtendedHeaderBeforeAllocation(t *testing.T) {
 	script := []byte{magic0, magic1, 0x02, 0x00} // v2 magic + DATA type byte
-	script = vls.AppendUint(script, uint64(MaxFrameSize)-1)
-	script = vls.AppendUint(script, uint64(MaxFrameSize)-1)
+	script = vls.AppendUint(script, uint64(framing.MaxFrameSize)-1)
+	script = vls.AppendUint(script, uint64(framing.MaxFrameSize)-1)
 
 	var before, after runtime.MemStats
 	runtime.GC()

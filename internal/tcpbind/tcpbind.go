@@ -80,10 +80,6 @@ const (
 	// chunkLast marks a sub-frame as the message's final chunk.
 	chunkLast = 0x01
 
-	// MaxFrameSize bounds a single frame's payload (a buffered message or
-	// one chunk); larger length prefixes are rejected before any allocation.
-	MaxFrameSize = framing.MaxFrameSize
-
 	maxContentTypeLen = framing.MaxContentTypeLen
 )
 

@@ -28,17 +28,14 @@ type actionKind int
 
 const (
 	actKeep actionKind = iota
-	actRemove
 	actReplace
 )
 
 // Keep retains the node and rewrites its children.
 func Keep() Action { return Action{kind: actKeep} }
 
-// Remove deletes the node (and its subtree).
-func Remove() Action { return Action{kind: actRemove} }
-
-// Replace substitutes the node with the given nodes (not recursed into).
+// Replace substitutes the node with the given nodes (not recursed into);
+// with none it deletes the node and its subtree.
 func Replace(nodes ...bxdm.Node) Action {
 	return Action{kind: actReplace, replacement: nodes}
 }
@@ -62,10 +59,7 @@ func Rewrite(n bxdm.Node, fn RewriteFunc) bxdm.Node {
 }
 
 func rewriteNode(n bxdm.Node, fn RewriteFunc) []bxdm.Node {
-	switch act := fn(n); act.kind {
-	case actRemove:
-		return nil
-	case actReplace:
+	if act := fn(n); act.kind == actReplace {
 		return act.replacement
 	}
 	switch x := n.(type) {
@@ -90,98 +84,6 @@ func cloneCommon(c *bxdm.ElemCommon) bxdm.ElemCommon {
 	out := bxdm.ElemCommon{Name: c.Name}
 	out.NamespaceDecls = append([]bxdm.NamespaceDecl(nil), c.NamespaceDecls...)
 	out.Attributes = append([]bxdm.Attribute(nil), c.Attributes...)
-	return out
-}
-
-// StripComments removes all comment nodes.
-func StripComments(n bxdm.Node) bxdm.Node {
-	return Rewrite(n, func(n bxdm.Node) Action {
-		if n.Kind() == bxdm.KindComment {
-			return Remove()
-		}
-		return Keep()
-	})
-}
-
-// StripPIs removes all processing instructions.
-func StripPIs(n bxdm.Node) bxdm.Node {
-	return Rewrite(n, func(n bxdm.Node) Action {
-		if n.Kind() == bxdm.KindPI {
-			return Remove()
-		}
-		return Keep()
-	})
-}
-
-// RenameNamespace rewrites every QName and namespace declaration from one
-// URI to another (schema-version migration).
-func RenameNamespace(n bxdm.Node, from, to string) bxdm.Node {
-	fix := func(c *bxdm.ElemCommon) {
-		if c.Name.Space == from {
-			c.Name.Space = to
-		}
-		for i := range c.Attributes {
-			if c.Attributes[i].Name.Space == from {
-				c.Attributes[i].Name.Space = to
-			}
-		}
-		for i := range c.NamespaceDecls {
-			if c.NamespaceDecls[i].URI == from {
-				c.NamespaceDecls[i].URI = to
-			}
-		}
-	}
-	out := bxdm.Clone(n)
-	bxdm.Walk(out, func(n bxdm.Node) error {
-		switch x := n.(type) {
-		case *bxdm.Element:
-			fix(&x.ElemCommon)
-		case *bxdm.LeafElement:
-			fix(&x.ElemCommon)
-		case *bxdm.ArrayElement:
-			fix(&x.ElemCommon)
-		}
-		return nil
-	})
-	return out
-}
-
-// Canonicalize merges adjacent text siblings and drops empty text nodes —
-// the text-canonical form over which the XML round-trip guarantee is
-// stated.
-func Canonicalize(n bxdm.Node) bxdm.Node {
-	out := bxdm.Clone(n)
-	bxdm.Walk(out, func(n bxdm.Node) error {
-		if el, ok := n.(*bxdm.Element); ok {
-			el.Children = canonicalChildren(el.Children)
-		}
-		if d, ok := n.(*bxdm.Document); ok {
-			d.Children = canonicalChildren(d.Children)
-		}
-		return nil
-	})
-	return out
-}
-
-func canonicalChildren(children []bxdm.Node) []bxdm.Node {
-	var out []bxdm.Node
-	for _, c := range children {
-		t, ok := c.(*bxdm.Text)
-		if !ok {
-			out = append(out, c)
-			continue
-		}
-		if t.Data == "" {
-			continue
-		}
-		if len(out) > 0 {
-			if prev, ok := out[len(out)-1].(*bxdm.Text); ok {
-				prev.Data += t.Data
-				continue
-			}
-		}
-		out = append(out, t)
-	}
 	return out
 }
 

@@ -38,7 +38,7 @@ func TestRewriteRemoveAndReplace(t *testing.T) {
 		}
 		switch el.Name.Local {
 		case "kill":
-			return Remove()
+			return Replace()
 		case "swap":
 			return Replace(bxdm.NewLeaf(bxdm.LocalName("swapped"), int32(1)),
 				bxdm.NewText("tail"))
@@ -55,52 +55,6 @@ func TestRewriteRemoveAndReplace(t *testing.T) {
 	}
 	if root.Children[1].Kind() != bxdm.KindLeafElement {
 		t.Error("replacement missing")
-	}
-}
-
-func TestStripCommentsAndPIs(t *testing.T) {
-	doc := parse(t, `<r><!--c--><a/><?pi d?><!--c2--></r>`)
-	out := StripComments(StripPIs(doc))
-	root := out.(*bxdm.Document).Root().(*bxdm.Element)
-	if len(root.Children) != 1 || root.Children[0].Kind() != bxdm.KindElement {
-		t.Errorf("children after strip = %v", root.Children)
-	}
-}
-
-func TestRenameNamespace(t *testing.T) {
-	doc := parse(t, `<a:r xmlns:a="urn:v1" a:x="1"><a:c/></a:r>`)
-	out := RenameNamespace(doc, "urn:v1", "urn:v2")
-	root := out.(*bxdm.Document).Root().(*bxdm.Element)
-	if root.Name.Space != "urn:v2" {
-		t.Error("element namespace not renamed")
-	}
-	if _, ok := root.Attr(bxdm.Name("urn:v2", "x")); !ok {
-		t.Error("attribute namespace not renamed")
-	}
-	if root.NamespaceDecls[0].URI != "urn:v2" {
-		t.Error("declaration not renamed")
-	}
-	if root.ChildElements()[0].ElemName().Space != "urn:v2" {
-		t.Error("child namespace not renamed")
-	}
-	// Original untouched.
-	if doc.Root().ElemName().Space != "urn:v1" {
-		t.Error("input mutated")
-	}
-}
-
-func TestCanonicalize(t *testing.T) {
-	root := bxdm.NewElement(bxdm.LocalName("r"),
-		bxdm.NewText("a"), bxdm.NewText(""), bxdm.NewText("b"),
-		bxdm.NewElement(bxdm.LocalName("c")),
-		bxdm.NewText(""),
-	)
-	out := Canonicalize(root).(*bxdm.Element)
-	if len(out.Children) != 2 {
-		t.Fatalf("children = %d, want merged text + element", len(out.Children))
-	}
-	if out.Children[0].(*bxdm.Text).Data != "ab" {
-		t.Errorf("merged text = %q", out.Children[0].(*bxdm.Text).Data)
 	}
 }
 

@@ -23,10 +23,8 @@ const Namespace = "http://schemas.xmlsoap.org/ws/2004/08/eventing"
 
 // Actions.
 const (
-	ActionSubscribe     = Namespace + "/Subscribe"
-	ActionSubscribeResp = Namespace + "/SubscribeResponse"
-	ActionUnsubscribe   = Namespace + "/Unsubscribe"
-	ActionNotify        = Namespace + "/Notify"
+	ActionSubscribe = Namespace + "/Subscribe"
+	ActionNotify    = Namespace + "/Notify"
 )
 
 func evName(local string) bxdm.QName { return bxdm.PName(Namespace, "wse", local) }
@@ -45,16 +43,6 @@ func SubscribeRequest(deliveryAddr, encoding string) *core.Envelope {
 	sub.Append(delivery)
 	env := core.NewEnvelope(sub)
 	wsa.Properties{Action: ActionSubscribe, MessageID: wsa.NewMessageID()}.Attach(env)
-	return env
-}
-
-// UnsubscribeRequest builds an Unsubscribe envelope for a subscription id.
-func UnsubscribeRequest(id string) *core.Envelope {
-	un := bxdm.NewElement(evName("Unsubscribe"))
-	un.DeclareNamespace("wse", Namespace)
-	un.SetAttr(bxdm.LocalName("id"), bxdm.StringValue(id))
-	env := core.NewEnvelope(un)
-	wsa.Properties{Action: ActionUnsubscribe, MessageID: wsa.NewMessageID()}.Attach(env)
 	return env
 }
 

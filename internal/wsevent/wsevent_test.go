@@ -8,6 +8,7 @@ import (
 	"bxsoap/internal/bxdm"
 	"bxsoap/internal/core"
 	"bxsoap/internal/tcpbind"
+	"bxsoap/internal/wsa"
 )
 
 // notifySink runs a SOAP server that records delivered events.
@@ -100,7 +101,7 @@ func TestSubscribeNotifyUnsubscribe(t *testing.T) {
 	}
 
 	// Unsubscribe the binary one; the next notify reaches only XML.
-	if _, err := broker.Handle(ctx, UnsubscribeRequest(binID)); err != nil {
+	if _, err := broker.Handle(ctx, unsubscribeRequest(binID)); err != nil {
 		t.Fatal(err)
 	}
 	delivered, err = broker.Notify(ctx, event())
@@ -145,7 +146,7 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 
 	// Unsubscribe of unknown id.
-	if _, err := broker.Handle(ctx, UnsubscribeRequest("sub-404")); err == nil {
+	if _, err := broker.Handle(ctx, unsubscribeRequest("sub-404")); err == nil {
 		t.Error("unknown unsubscribe accepted")
 	}
 }
@@ -200,4 +201,14 @@ func TestBrokerOverSOAPEngine(t *testing.T) {
 	if sink.count() != 1 {
 		t.Errorf("sink got %d events", sink.count())
 	}
+}
+
+// unsubscribeRequest builds an Unsubscribe envelope for a subscription id.
+func unsubscribeRequest(id string) *core.Envelope {
+	un := bxdm.NewElement(evName("Unsubscribe"))
+	un.DeclareNamespace("wse", Namespace)
+	un.SetAttr(bxdm.LocalName("id"), bxdm.StringValue(id))
+	env := core.NewEnvelope(un)
+	wsa.Properties{Action: Namespace + "/Unsubscribe", MessageID: wsa.NewMessageID()}.Attach(env)
+	return env
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package wssec
+
+const raceEnabled = false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
+	"io"
 	"testing"
 
 	"bxsoap/internal/bxdm"
@@ -21,15 +22,13 @@ func TestStreamSignSmoke(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	s := Secure(core.BXSAEncoding{}, key)
 
-	pipe := core.NewChunkPipe(1024)
-	done := make(chan error, 1)
-	go func() { done <- s.EncodeChunks(doc, 8<<10, pipe) }()
-	got, err := s.DecodeChunks(pipe)
+	var q chunkQueue
+	if err := s.EncodeChunks(doc, 8<<10, &q); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	got, err := s.DecodeChunks(&q)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("encode: %v", err)
 	}
 	want, _ := s.AppendEncode(nil, doc)
 	wantDoc, err := s.Decode(want)
@@ -41,22 +40,18 @@ func TestStreamSignSmoke(t *testing.T) {
 	}
 
 	// Tampered stream must fail with ErrBadSignature.
-	pipe2 := core.NewChunkPipe(1024)
-	tamper := tamperSink{pipe2}
-	go func() { done <- s.EncodeChunks(doc, 8<<10, tamper) }()
-	_, err = s.DecodeChunks(pipe2)
+	var q2 chunkQueue
+	if err := s.EncodeChunks(doc, 8<<10, tamperSink{&q2}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	_, err = s.DecodeChunks(&q2)
 	if err != ErrBadSignature {
 		t.Fatalf("tampered: got %v, want ErrBadSignature", err)
 	}
-	<-done
+	q2.Abort()
 
 	// A BXS2 message arriving as one chunk verifies.
-	one := core.NewChunkPipe(1)
-	p := core.NewPayloadFrom(want)
-	if err := one.WriteChunk(p, true); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := s.DecodeChunks(one)
+	got2, err := s.DecodeChunks(core.ResumeSource(core.NewPayloadFrom(want), true, nil))
 	if err != nil {
 		t.Fatalf("BXS2 one-chunk: %v", err)
 	}
@@ -66,6 +61,36 @@ func TestStreamSignSmoke(t *testing.T) {
 	if n := core.PayloadsInUse(); n != 0 {
 		t.Fatalf("leaked %d payloads", n)
 	}
+}
+
+// chunkQueue is an in-process chunk queue: the sink appends, the source
+// pops in order.
+type chunkQueue struct{ q []queuedChunk }
+
+type queuedChunk struct {
+	p    *core.Payload
+	last bool
+}
+
+func (c *chunkQueue) WriteChunk(p *core.Payload, last bool) error {
+	c.q = append(c.q, queuedChunk{p, last})
+	return nil
+}
+
+func (c *chunkQueue) ReadChunk() (*core.Payload, bool, error) {
+	if len(c.q) == 0 {
+		return nil, false, io.ErrUnexpectedEOF
+	}
+	x := c.q[0]
+	c.q = c.q[1:]
+	return x.p, x.last, nil
+}
+
+func (c *chunkQueue) Abort() {
+	for _, x := range c.q {
+		x.p.Release()
+	}
+	c.q = nil
 }
 
 type tamperSink struct{ s core.ChunkSink }

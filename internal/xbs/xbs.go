@@ -45,32 +45,17 @@ var zeroPad [8]byte
 // Writer serializes XBS values to an underlying io.Writer, tracking the
 // absolute stream offset to implement alignment.
 type Writer struct {
-	w       io.Writer
-	order   ByteOrder
-	off     int64
-	scratch [8]byte
-}
-
-// NewWriter returns a Writer emitting in the given byte order. The stream
-// offset starts at base; pass 0 when the writer owns the whole stream, or the
-// current container offset when embedding an XBS region inside another
-// format (alignment is computed relative to the true stream start).
-func NewWriter(w io.Writer, order ByteOrder, base int64) *Writer {
-	return &Writer{w: w, order: order, off: base}
+	w     io.Writer
+	order ByteOrder
+	off   int64
 }
 
 // Reset repoints the writer at out with a fresh base offset, keeping the
-// struct (and its scratch space) for reuse; pooled encoders re-aim one
-// writer at many array regions instead of allocating a Writer per array.
+// struct for reuse; pooled encoders re-aim one writer at many array regions
+// instead of allocating a Writer per array.
 func (w *Writer) Reset(out io.Writer, order ByteOrder, base int64) {
 	w.w, w.order, w.off = out, order, base
 }
-
-// Offset returns the number of bytes written so far, including the base.
-func (w *Writer) Offset() int64 { return w.off }
-
-// Order returns the writer's byte order.
-func (w *Writer) Order() ByteOrder { return w.order }
 
 // Align pads the stream with zero bytes until the offset is a multiple of
 // size and returns the number of padding bytes written. size must be a power
@@ -102,65 +87,6 @@ func (w *Writer) writeRaw(b []byte) error {
 	w.off += int64(n)
 	return err
 }
-
-// WriteBytes writes raw octets with no alignment (used for strings, frame
-// prefixes, and other byte-granular fields).
-func (w *Writer) WriteBytes(b []byte) error { return w.writeRaw(b) }
-
-// WriteUint8 writes a single byte.
-func (w *Writer) WriteUint8(v uint8) error {
-	w.scratch[0] = v
-	return w.writeRaw(w.scratch[:1])
-}
-
-// WriteUint16 writes an aligned 2-byte unsigned integer.
-func (w *Writer) WriteUint16(v uint16) error {
-	if _, err := w.Align(2); err != nil {
-		return err
-	}
-	if w.order == LittleEndian {
-		w.scratch[0], w.scratch[1] = byte(v), byte(v>>8)
-	} else {
-		w.scratch[0], w.scratch[1] = byte(v>>8), byte(v)
-	}
-	return w.writeRaw(w.scratch[:2])
-}
-
-// WriteUint32 writes an aligned 4-byte unsigned integer.
-func (w *Writer) WriteUint32(v uint32) error {
-	if _, err := w.Align(4); err != nil {
-		return err
-	}
-	putUint32(w.scratch[:4], v, w.order)
-	return w.writeRaw(w.scratch[:4])
-}
-
-// WriteUint64 writes an aligned 8-byte unsigned integer.
-func (w *Writer) WriteUint64(v uint64) error {
-	if _, err := w.Align(8); err != nil {
-		return err
-	}
-	putUint64(w.scratch[:8], v, w.order)
-	return w.writeRaw(w.scratch[:8])
-}
-
-// WriteInt8 writes a single signed byte.
-func (w *Writer) WriteInt8(v int8) error { return w.WriteUint8(uint8(v)) }
-
-// WriteInt16 writes an aligned 2-byte signed integer.
-func (w *Writer) WriteInt16(v int16) error { return w.WriteUint16(uint16(v)) }
-
-// WriteInt32 writes an aligned 4-byte signed integer.
-func (w *Writer) WriteInt32(v int32) error { return w.WriteUint32(uint32(v)) }
-
-// WriteInt64 writes an aligned 8-byte signed integer.
-func (w *Writer) WriteInt64(v int64) error { return w.WriteUint64(uint64(v)) }
-
-// WriteFloat32 writes an aligned IEEE-754 single.
-func (w *Writer) WriteFloat32(v float32) error { return w.WriteUint32(math.Float32bits(v)) }
-
-// WriteFloat64 writes an aligned IEEE-754 double.
-func (w *Writer) WriteFloat64(v float64) error { return w.WriteUint64(math.Float64bits(v)) }
 
 func putUint32(b []byte, v uint32, o ByteOrder) {
 	if o == LittleEndian {
@@ -211,12 +137,6 @@ type Reader struct {
 	scratch [8]byte
 }
 
-// NewReader returns a Reader decoding the given byte order, with the stream
-// offset starting at base (see NewWriter).
-func NewReader(r io.Reader, order ByteOrder, base int64) *Reader {
-	return &Reader{r: r, order: order, off: base}
-}
-
 // Reset repoints the reader at in with a fresh base offset, keeping the
 // struct for reuse (mirrors Writer.Reset).
 func (r *Reader) Reset(in io.Reader, order ByteOrder, base int64) {
@@ -225,13 +145,6 @@ func (r *Reader) Reset(in io.Reader, order ByteOrder, base int64) {
 
 // Offset returns the number of bytes consumed so far, including the base.
 func (r *Reader) Offset() int64 { return r.off }
-
-// Order returns the reader's byte order.
-func (r *Reader) Order() ByteOrder { return r.order }
-
-// SetOrder switches the byte order mid-stream. BXSA records byte order per
-// frame, so a decoder may need to flip while reading one document.
-func (r *Reader) SetOrder(o ByteOrder) { r.order = o }
 
 func (r *Reader) readFull(b []byte) error {
 	n, err := io.ReadFull(r.r, b)
@@ -257,75 +170,6 @@ func (r *Reader) Align(size int) error {
 	return nil
 }
 
-// ReadBytes reads exactly len(b) raw octets.
-func (r *Reader) ReadBytes(b []byte) error { return r.readFull(b) }
-
-// ReadUint8 reads one byte.
-func (r *Reader) ReadUint8() (uint8, error) {
-	err := r.readFull(r.scratch[:1])
-	return r.scratch[0], err
-}
-
-// ReadUint16 reads an aligned 2-byte unsigned integer.
-func (r *Reader) ReadUint16() (uint16, error) {
-	if err := r.Align(2); err != nil {
-		return 0, err
-	}
-	if err := r.readFull(r.scratch[:2]); err != nil {
-		return 0, err
-	}
-	if r.order == LittleEndian {
-		return uint16(r.scratch[0]) | uint16(r.scratch[1])<<8, nil
-	}
-	return uint16(r.scratch[1]) | uint16(r.scratch[0])<<8, nil
-}
-
-// ReadUint32 reads an aligned 4-byte unsigned integer.
-func (r *Reader) ReadUint32() (uint32, error) {
-	if err := r.Align(4); err != nil {
-		return 0, err
-	}
-	if err := r.readFull(r.scratch[:4]); err != nil {
-		return 0, err
-	}
-	return getUint32(r.scratch[:4], r.order), nil
-}
-
-// ReadUint64 reads an aligned 8-byte unsigned integer.
-func (r *Reader) ReadUint64() (uint64, error) {
-	if err := r.Align(8); err != nil {
-		return 0, err
-	}
-	if err := r.readFull(r.scratch[:8]); err != nil {
-		return 0, err
-	}
-	return getUint64(r.scratch[:8], r.order), nil
-}
-
-// ReadInt8 reads one signed byte.
-func (r *Reader) ReadInt8() (int8, error) { v, err := r.ReadUint8(); return int8(v), err }
-
-// ReadInt16 reads an aligned 2-byte signed integer.
-func (r *Reader) ReadInt16() (int16, error) { v, err := r.ReadUint16(); return int16(v), err }
-
-// ReadInt32 reads an aligned 4-byte signed integer.
-func (r *Reader) ReadInt32() (int32, error) { v, err := r.ReadUint32(); return int32(v), err }
-
-// ReadInt64 reads an aligned 8-byte signed integer.
-func (r *Reader) ReadInt64() (int64, error) { v, err := r.ReadUint64(); return int64(v), err }
-
-// ReadFloat32 reads an aligned IEEE-754 single.
-func (r *Reader) ReadFloat32() (float32, error) {
-	v, err := r.ReadUint32()
-	return math.Float32frombits(v), err
-}
-
-// ReadFloat64 reads an aligned IEEE-754 double.
-func (r *Reader) ReadFloat64() (float64, error) {
-	v, err := r.ReadUint64()
-	return math.Float64frombits(v), err
-}
-
 // Primitive is the set of fundamental types XBS can pack: 1/2/4/8-byte
 // integers (signed and unsigned) and 4/8-byte floats. It mirrors the set of
 // types usable as the T in the paper's LeafElement<T> and ArrayElement<T>.
@@ -347,73 +191,6 @@ func SizeOf[T Primitive]() int {
 		return 4
 	default:
 		return 8
-	}
-}
-
-// WriteValue writes one aligned primitive value.
-func WriteValue[T Primitive](w *Writer, v T) error {
-	switch x := any(v).(type) {
-	case int8:
-		return w.WriteInt8(x)
-	case int16:
-		return w.WriteInt16(x)
-	case int32:
-		return w.WriteInt32(x)
-	case int64:
-		return w.WriteInt64(x)
-	case uint8:
-		return w.WriteUint8(x)
-	case uint16:
-		return w.WriteUint16(x)
-	case uint32:
-		return w.WriteUint32(x)
-	case uint64:
-		return w.WriteUint64(x)
-	case float32:
-		return w.WriteFloat32(x)
-	case float64:
-		return w.WriteFloat64(x)
-	default:
-		panic(fmt.Sprintf("xbs: unreachable primitive %T", v))
-	}
-}
-
-// ReadValue reads one aligned primitive value.
-func ReadValue[T Primitive](r *Reader) (T, error) {
-	var z T
-	switch any(z).(type) {
-	case int8:
-		v, err := r.ReadInt8()
-		return T(v), err
-	case int16:
-		v, err := r.ReadInt16()
-		return T(v), err
-	case int32:
-		v, err := r.ReadInt32()
-		return T(v), err
-	case int64:
-		v, err := r.ReadInt64()
-		return T(v), err
-	case uint8:
-		v, err := r.ReadUint8()
-		return T(v), err
-	case uint16:
-		v, err := r.ReadUint16()
-		return T(v), err
-	case uint32:
-		v, err := r.ReadUint32()
-		return T(v), err
-	case uint64:
-		v, err := r.ReadUint64()
-		return T(v), err
-	case float32:
-		v, err := r.ReadFloat32()
-		return T(v), err
-	case float64:
-		v, err := r.ReadFloat64()
-		return T(v), err
-	default:
-		panic(fmt.Sprintf("xbs: unreachable primitive %T", z))
 	}
 }
 
@@ -461,7 +238,7 @@ func AppendArray[T Primitive](dst []byte, a []T, o ByteOrder) []byte {
 }
 
 // DecodeArray decodes n packed items in byte order o from the front of
-// buf into a new slice — the in-memory counterpart of ReadArray, again
+// buf into a new slice — the in-memory counterpart of ReadArrayGrow, again
 // without alignment or chunk buffers.
 func DecodeArray[T Primitive](buf []byte, n int, o ByteOrder) ([]T, error) {
 	size := SizeOf[T]()
@@ -519,30 +296,7 @@ func appendU64(buf []byte, v uint64, o ByteOrder) []byte {
 	return append(buf, b[:]...)
 }
 
-// ReadArray reads n packed elements written by WriteArray into a new slice.
-func ReadArray[T Primitive](r *Reader, n int) ([]T, error) {
-	size := SizeOf[T]()
-	if err := r.Align(size); err != nil {
-		return nil, err
-	}
-	out := make([]T, n)
-	const chunkElems = 4096
-	buf := make([]byte, min(n, chunkElems)*size)
-	for i := 0; i < n; {
-		c := n - i
-		if c > chunkElems {
-			c = chunkElems
-		}
-		if err := r.readFull(buf[:c*size]); err != nil {
-			return nil, err
-		}
-		decodeInto(out[i:i+c], buf[:c*size], r.order)
-		i += c
-	}
-	return out, nil
-}
-
-// ReadArrayGrow reads n packed elements like ReadArray, but grows the
+// ReadArrayGrow reads n packed elements written by WriteArray, growing the
 // output slice batch-by-batch as data actually arrives instead of
 // allocating all n elements up front. Streaming decoders use it: their
 // element counts are bounded by a declared frame size rather than a

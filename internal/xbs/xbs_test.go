@@ -2,64 +2,32 @@ package xbs
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
-func TestScalarRoundTripBothOrders(t *testing.T) {
-	for _, order := range []ByteOrder{LittleEndian, BigEndian} {
-		var buf bytes.Buffer
-		w := NewWriter(&buf, order, 0)
-		if err := w.WriteUint8(0xab); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteInt16(-12345); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteUint32(0xdeadbeef); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteInt64(-1 << 40); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteFloat32(3.25); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteFloat64(-2.5e300); err != nil {
-			t.Fatal(err)
-		}
+func newWriter(out io.Writer, order ByteOrder, base int64) *Writer {
+	w := new(Writer)
+	w.Reset(out, order, base)
+	return w
+}
 
-		r := NewReader(bytes.NewReader(buf.Bytes()), order, 0)
-		if v, err := r.ReadUint8(); err != nil || v != 0xab {
-			t.Fatalf("%v: uint8 = %v, %v", order, v, err)
-		}
-		if v, err := r.ReadInt16(); err != nil || v != -12345 {
-			t.Fatalf("%v: int16 = %v, %v", order, v, err)
-		}
-		if v, err := r.ReadUint32(); err != nil || v != 0xdeadbeef {
-			t.Fatalf("%v: uint32 = %v, %v", order, v, err)
-		}
-		if v, err := r.ReadInt64(); err != nil || v != -1<<40 {
-			t.Fatalf("%v: int64 = %v, %v", order, v, err)
-		}
-		if v, err := r.ReadFloat32(); err != nil || v != 3.25 {
-			t.Fatalf("%v: float32 = %v, %v", order, v, err)
-		}
-		if v, err := r.ReadFloat64(); err != nil || v != -2.5e300 {
-			t.Fatalf("%v: float64 = %v, %v", order, v, err)
-		}
-	}
+func newReader(in io.Reader, order ByteOrder, base int64) *Reader {
+	r := new(Reader)
+	r.Reset(in, order, base)
+	return r
 }
 
 func TestAlignment(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, LittleEndian, 0)
-	if err := w.WriteUint8(1); err != nil {
+	w := newWriter(&buf, LittleEndian, 0)
+	if err := WriteArray(w, []uint8{1}); err != nil {
 		t.Fatal(err)
 	}
 	// Offset is 1; a uint64 must be preceded by 7 padding bytes.
-	if err := w.WriteUint64(42); err != nil {
+	if err := WriteArray(w, []uint64{42}); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.Len(); got != 16 {
@@ -70,23 +38,23 @@ func TestAlignment(t *testing.T) {
 			t.Fatalf("padding byte %d = %#x, want 0", i, buf.Bytes()[i])
 		}
 	}
-	if w.Offset() != 16 {
-		t.Fatalf("Offset = %d, want 16", w.Offset())
+	if w.off != 16 {
+		t.Fatalf("Offset = %d, want 16", w.off)
 	}
 }
 
 func TestAlignmentWithBase(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, LittleEndian, 6) // pretend 6 container bytes precede us
-	if err := w.WriteUint32(7); err != nil {
+	w := newWriter(&buf, LittleEndian, 6) // pretend 6 container bytes precede us
+	if err := WriteArray(w, []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
 	// 6 → pad 2 → 8..12 holds the value.
 	if buf.Len() != 6 {
 		t.Fatalf("bytes written = %d, want 6 (2 pad + 4 data)", buf.Len())
 	}
-	r := NewReader(bytes.NewReader(buf.Bytes()), LittleEndian, 6)
-	if v, err := r.ReadUint32(); err != nil || v != 7 {
+	r := newReader(bytes.NewReader(buf.Bytes()), LittleEndian, 6)
+	if v, err := ReadArrayGrow[uint32](r, 1); err != nil || v[0] != 7 {
 		t.Fatalf("read back = %v, %v", v, err)
 	}
 }
@@ -94,21 +62,21 @@ func TestAlignmentWithBase(t *testing.T) {
 func TestBadAlignmentDetected(t *testing.T) {
 	// One data byte, then garbage where padding should be.
 	data := []byte{0x01, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}
-	r := NewReader(bytes.NewReader(data), LittleEndian, 0)
-	if _, err := r.ReadUint8(); err != nil {
+	r := newReader(bytes.NewReader(data), LittleEndian, 0)
+	if _, err := ReadArrayGrow[uint8](r, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadUint64(); err != ErrBadAlignment {
+	if _, err := ReadArrayGrow[uint64](r, 1); err != ErrBadAlignment {
 		t.Fatalf("err = %v, want ErrBadAlignment", err)
 	}
 }
 
 func TestWireFormatEndianness(t *testing.T) {
 	var le, be bytes.Buffer
-	if err := NewWriter(&le, LittleEndian, 0).WriteUint32(0x01020304); err != nil {
+	if err := WriteArray(newWriter(&le, LittleEndian, 0), []uint32{0x01020304}); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewWriter(&be, BigEndian, 0).WriteUint32(0x01020304); err != nil {
+	if err := WriteArray(newWriter(&be, BigEndian, 0), []uint32{0x01020304}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(le.Bytes(), []byte{4, 3, 2, 1}) {
@@ -122,18 +90,18 @@ func TestWireFormatEndianness(t *testing.T) {
 func roundTripArray[T Primitive](t *testing.T, in []T, order ByteOrder) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf, order, 0)
-	if err := w.WriteUint8(9); err != nil { // force misalignment first
+	w := newWriter(&buf, order, 0)
+	if err := WriteArray(w, []uint8{9}); err != nil { // force misalignment first
 		t.Fatal(err)
 	}
 	if err := WriteArray(w, in); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(bytes.NewReader(buf.Bytes()), order, 0)
-	if _, err := r.ReadUint8(); err != nil {
+	r := newReader(bytes.NewReader(buf.Bytes()), order, 0)
+	if _, err := ReadArrayGrow[uint8](r, 1); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadArray[T](r, len(in))
+	out, err := ReadArrayGrow[T](r, len(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +146,12 @@ func TestEmptyArray(t *testing.T) {
 func TestArrayPropertyFloat64(t *testing.T) {
 	f := func(in []float64) bool {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, BigEndian, 0)
+		w := newWriter(&buf, BigEndian, 0)
 		if err := WriteArray(w, in); err != nil {
 			return false
 		}
-		r := NewReader(bytes.NewReader(buf.Bytes()), BigEndian, 0)
-		out, err := ReadArray[float64](r, len(in))
+		r := newReader(bytes.NewReader(buf.Bytes()), BigEndian, 0)
+		out, err := ReadArrayGrow[float64](r, len(in))
 		if err != nil {
 			return false
 		}
@@ -202,12 +170,12 @@ func TestArrayPropertyFloat64(t *testing.T) {
 func TestArrayPropertyInt32(t *testing.T) {
 	f := func(in []int32) bool {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, LittleEndian, 0)
+		w := newWriter(&buf, LittleEndian, 0)
 		if err := WriteArray(w, in); err != nil {
 			return false
 		}
-		r := NewReader(bytes.NewReader(buf.Bytes()), LittleEndian, 0)
-		out, err := ReadArray[int32](r, len(in))
+		r := newReader(bytes.NewReader(buf.Bytes()), LittleEndian, 0)
+		out, err := ReadArrayGrow[int32](r, len(in))
 		if err != nil {
 			return false
 		}
@@ -220,30 +188,6 @@ func TestArrayPropertyInt32(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGenericValueRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, LittleEndian, 0)
-	if err := WriteValue(w, int32(-7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteValue(w, float64(6.5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteValue(w, uint16(99)); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(bytes.NewReader(buf.Bytes()), LittleEndian, 0)
-	if v, err := ReadValue[int32](r); err != nil || v != -7 {
-		t.Fatalf("int32 = %v, %v", v, err)
-	}
-	if v, err := ReadValue[float64](r); err != nil || v != 6.5 {
-		t.Fatalf("float64 = %v, %v", v, err)
-	}
-	if v, err := ReadValue[uint16](r); err != nil || v != 99 {
-		t.Fatalf("uint16 = %v, %v", v, err)
 	}
 }
 
@@ -262,23 +206,6 @@ func TestSizeOf(t *testing.T) {
 	}
 }
 
-func TestNaNPreserved(t *testing.T) {
-	nan := math.Float64frombits(0x7ff8000000000001)
-	var buf bytes.Buffer
-	w := NewWriter(&buf, LittleEndian, 0)
-	if err := w.WriteFloat64(nan); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(bytes.NewReader(buf.Bytes()), LittleEndian, 0)
-	v, err := r.ReadFloat64()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(v) != 0x7ff8000000000001 {
-		t.Fatalf("NaN payload not preserved: %x", math.Float64bits(v))
-	}
-}
-
 func BenchmarkWriteFloat64Array(b *testing.B) {
 	a := make([]float64, 4096)
 	for i := range a {
@@ -288,7 +215,7 @@ func BenchmarkWriteFloat64Array(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		w := NewWriter(&buf, LittleEndian, 0)
+		w := newWriter(&buf, LittleEndian, 0)
 		if err := WriteArray(w, a); err != nil {
 			b.Fatal(err)
 		}
@@ -298,14 +225,14 @@ func BenchmarkWriteFloat64Array(b *testing.B) {
 func BenchmarkReadFloat64Array(b *testing.B) {
 	a := make([]float64, 4096)
 	var buf bytes.Buffer
-	if err := WriteArray(NewWriter(&buf, LittleEndian, 0), a); err != nil {
+	if err := WriteArray(newWriter(&buf, LittleEndian, 0), a); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(a) * 8))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(buf.Bytes()), LittleEndian, 0)
-		if _, err := ReadArray[float64](r, len(a)); err != nil {
+		r := newReader(bytes.NewReader(buf.Bytes()), LittleEndian, 0)
+		if _, err := ReadArrayGrow[float64](r, len(a)); err != nil {
 			b.Fatal(err)
 		}
 	}

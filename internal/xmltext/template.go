@@ -90,9 +90,6 @@ func CompileTemplate(doc *bxdm.Document, opts EncodeOptions) (*Template, error) 
 	return t, nil
 }
 
-// Slots reports the number of variable slots.
-func (t *Template) Slots() int { return len(t.slots) }
-
 // AppendEncode appends an encoding of the shape with the given variable
 // values to dst and returns the extended slice, byte-identical to what the
 // generic encoder produces for the corresponding tree. vars must line up

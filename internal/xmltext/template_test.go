@@ -36,8 +36,8 @@ func TestTemplateEncodeMatchesGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tmpl.Slots() != 3 {
-		t.Fatalf("slots = %d, want 3", tmpl.Slots())
+	if len(tmpl.slots) != 3 {
+		t.Fatalf("slots = %d, want 3", len(tmpl.slots))
 	}
 	// Same shape, hostile values: the string needs escaping (&, <, >, CR)
 	// but keeps the same raw length as the two-byte prototype string.

@@ -8,7 +8,6 @@
 package xmltext
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -73,32 +72,30 @@ func AppendEncode(dst []byte, n bxdm.Node, opts EncodeOptions) ([]byte, error) {
 	return out, nil
 }
 
-// Encode serializes a bXDM tree to w.
-func Encode(w io.Writer, n bxdm.Node, opts EncodeOptions) error {
-	bw := bufio.NewWriter(w)
+// Encode serializes a bXDM tree to w. w takes every byte as the encoder
+// produces it — there is no buffering layer in between — so it should
+// gather small writes itself, as the streamed codec's chunk writer does.
+func Encode(w sink, n bxdm.Node, opts EncodeOptions) error {
 	e := getEncoder(opts)
-	e.w = bw
+	e.w = w
 	if opts.XMLDecl {
-		if _, err := bw.WriteString(xmlDecl); err != nil {
+		if _, err := w.WriteString(xmlDecl); err != nil {
 			putEncoder(e)
 			return err
 		}
 	}
 	err := bxdm.Accept(n, e)
 	putEncoder(e)
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
+	return err
 }
 
-// sink is the encoder's output: either a bufio.Writer (streaming Encode) or
-// the in-place appendSink (AppendEncode). Both are byte-granular, so the
+// sink is the encoder's output: the caller's writer (Encode) or the
+// in-place appendSink (AppendEncode). Both are byte-granular, so the
 // encoder never builds intermediate strings.
 type sink interface {
 	io.Writer
-	WriteByte(byte) error
-	WriteString(string) (int, error)
+	io.ByteWriter
+	io.StringWriter
 }
 
 // appendSink appends into a caller-provided buffer (typically a pooled
