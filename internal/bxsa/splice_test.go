@@ -1,6 +1,7 @@
 package bxsa
 
 import (
+	"bytes"
 	"testing"
 
 	"bxsoap/internal/bxdm"
@@ -8,13 +9,6 @@ import (
 	"bxsoap/internal/xbs"
 )
 
-// TestSplicedMixedOrderDocument exercises the rationale the paper gives for
-// per-frame byte-order bits (§4.1): "Associating the byte-order bits with
-// each frame rather than the entire BXSA document makes it simpler to embed
-// the frame within other documents without regard to a possible different
-// byte order used by the container." Here a big-endian leaf frame produced
-// by one encoder is spliced verbatim into a little-endian container, and the
-// decoder reads both correctly.
 // splicedElement builds an element frame with the unqualified name local,
 // no namespace declarations and no attributes, whose children are the given
 // pre-encoded frames spliced in verbatim.
@@ -39,6 +33,13 @@ func appendFrame(dst []byte, order xbs.ByteOrder, t FrameType, body []byte) []by
 	return append(dst, body...)
 }
 
+// TestSplicedMixedOrderDocument exercises the rationale the paper gives for
+// per-frame byte-order bits (§4.1): "Associating the byte-order bits with
+// each frame rather than the entire BXSA document makes it simpler to embed
+// the frame within other documents without regard to a possible different
+// byte order used by the container." Here a big-endian leaf frame produced
+// by one encoder is spliced verbatim into a little-endian container, and the
+// decoder reads both correctly.
 func TestSplicedMixedOrderDocument(t *testing.T) {
 	leLeaf, err := Marshal(bxdm.NewLeaf(bxdm.LocalName("le"), 1.5), EncodeOptions{Order: xbs.LittleEndian})
 	if err != nil {
@@ -86,6 +87,29 @@ func TestSplicedArrayFrameAlignmentChecked(t *testing.T) {
 	}
 	// Misalignment must be reported as a clean error, never silent
 	// corruption or a panic.
+}
+
+func TestAppendFrameRoundTrip(t *testing.T) {
+	// A chardata frame assembled by hand from the frame grammar (prefix
+	// byte, VLS body size, body) must be byte-identical to what the encoder
+	// produces, and parse back to the same node.
+	want, err := Marshal(bxdm.NewText("hello"), EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := vls.AppendUint(nil, uint64(len("hello")))
+	body = append(body, "hello"...)
+	got := appendFrame(nil, xbs.LittleEndian, FrameCharData, body)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("hand-built frame = %x, encoder produced %x", got, want)
+	}
+	n, err := Parse(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if txt, ok := n.(*bxdm.Text); !ok || txt.Data != "hello" {
+		t.Fatalf("parsed %#v", n)
+	}
 }
 
 func TestWindowSplice(t *testing.T) {

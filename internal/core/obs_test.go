@@ -62,6 +62,12 @@ func TestObservedCallRecordsStagesAndCounters(t *testing.T) {
 	}
 
 	// Server side: requests counted, handler and codec stages populated.
+	// The server marks ServerSend after the response is on the wire, so the
+	// client can return before the last call's mark lands: wait for it,
+	// within a bound.
+	for deadline := time.Now().Add(2 * time.Second); srvObs.StageSnapshot(obs.ServerSend).Count < calls && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := srvObs.Counter(obs.ServerRequests); got != calls {
 		t.Errorf("server requests = %d, want %d", got, calls)
 	}

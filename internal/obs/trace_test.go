@@ -185,7 +185,7 @@ func TestRecorderEventJournal(t *testing.T) {
 	}
 }
 
-func TestHopRecordsErrorAndStages(t *testing.T) {
+func TestHopRecordsErrorAndStageDur(t *testing.T) {
 	rec := NewRecorder(RecorderConfig{})
 	o := fakeClockObs(rec, "n", time.Millisecond)
 	h := o.StartHop(RoleClient)

@@ -75,6 +75,33 @@ func TestReaderTruncation(t *testing.T) {
 	}
 }
 
+// BXSA records the byte order per frame (paper §4.1), so one reader
+// switches order mid-stream by re-aiming at the same input with its
+// current offset as the new base.
+func TestReaderSetOrderMidStream(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteArray(newWriter(&buf, LittleEndian, 0), []uint32{0x01020304}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteArray(newWriter(&buf, BigEndian, int64(buf.Len())), []uint32{0x01020304}); err != nil {
+		t.Fatal(err)
+	}
+	in := bytes.NewReader(buf.Bytes())
+	r := newReader(in, LittleEndian, 0)
+	v1, err := ReadArrayGrow[uint32](r, 1)
+	if err != nil || v1[0] != 0x01020304 {
+		t.Fatalf("LE read = %x, %v", v1, err)
+	}
+	r.Reset(in, BigEndian, r.Offset())
+	v2, err := ReadArrayGrow[uint32](r, 1)
+	if err != nil || v2[0] != 0x01020304 {
+		t.Fatalf("BE read after Reset = %x, %v", v2, err)
+	}
+	if r.Offset() != 8 {
+		t.Errorf("Offset = %d, want 8", r.Offset())
+	}
+}
+
 func TestOffsetsTracked(t *testing.T) {
 	var buf bytes.Buffer
 	w := newWriter(&buf, LittleEndian, 3)

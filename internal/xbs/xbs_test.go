@@ -20,6 +20,102 @@ func newReader(in io.Reader, order ByteOrder, base int64) *Reader {
 	return r
 }
 
+// readOne reads back a single aligned element, the scalar case of an array.
+func readOne[T Primitive](t *testing.T, r *Reader) T {
+	t.Helper()
+	v, err := ReadArrayGrow[T](r, 1)
+	if err != nil {
+		t.Fatalf("%T: %v", v, err)
+	}
+	return v[0]
+}
+
+// A scalar is the one-element array: every width survives both orders,
+// interleaved so each value lands behind a different alignment pad.
+func TestScalarRoundTripBothOrders(t *testing.T) {
+	for _, order := range []ByteOrder{LittleEndian, BigEndian} {
+		var buf bytes.Buffer
+		w := newWriter(&buf, order, 0)
+		for _, err := range []error{
+			WriteArray(w, []uint8{0xab}),
+			WriteArray(w, []int16{-12345}),
+			WriteArray(w, []uint32{0xdeadbeef}),
+			WriteArray(w, []int64{-1 << 40}),
+			WriteArray(w, []float32{3.25}),
+			WriteArray(w, []float64{-2.5e300}),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		r := newReader(bytes.NewReader(buf.Bytes()), order, 0)
+		if v := readOne[uint8](t, r); v != 0xab {
+			t.Fatalf("%v: uint8 = %v", order, v)
+		}
+		if v := readOne[int16](t, r); v != -12345 {
+			t.Fatalf("%v: int16 = %v", order, v)
+		}
+		if v := readOne[uint32](t, r); v != 0xdeadbeef {
+			t.Fatalf("%v: uint32 = %v", order, v)
+		}
+		if v := readOne[int64](t, r); v != -1<<40 {
+			t.Fatalf("%v: int64 = %v", order, v)
+		}
+		if v := readOne[float32](t, r); v != 3.25 {
+			t.Fatalf("%v: float32 = %v", order, v)
+		}
+		if v := readOne[float64](t, r); v != -2.5e300 {
+			t.Fatalf("%v: float64 = %v", order, v)
+		}
+	}
+}
+
+// The in-memory pair (AppendArray/DecodeArray, the template path) reads
+// back what it wrote for mixed element types packed back to back.
+func TestGenericValueRoundTrip(t *testing.T) {
+	buf := AppendArray(nil, []int32{-7}, LittleEndian)
+	buf = AppendArray(buf, []float64{6.5}, LittleEndian)
+	buf = AppendArray(buf, []uint16{99}, LittleEndian)
+	if len(buf) != 4+8+2 {
+		t.Fatalf("packed %d bytes, want 14 (no alignment on the append path)", len(buf))
+	}
+	if v, err := DecodeArray[int32](buf, 1, LittleEndian); err != nil || v[0] != -7 {
+		t.Fatalf("int32 = %v, %v", v, err)
+	}
+	if v, err := DecodeArray[float64](buf[4:], 1, LittleEndian); err != nil || v[0] != 6.5 {
+		t.Fatalf("float64 = %v, %v", v, err)
+	}
+	if v, err := DecodeArray[uint16](buf[12:], 1, LittleEndian); err != nil || v[0] != 99 {
+		t.Fatalf("uint16 = %v, %v", v, err)
+	}
+	if _, err := DecodeArray[uint16](buf[13:], 1, LittleEndian); err == nil {
+		t.Fatal("DecodeArray read past the buffer")
+	}
+}
+
+// A NaN's payload bits survive both the stream and the in-memory paths:
+// the codec moves bits, it never converts values.
+func TestNaNPreserved(t *testing.T) {
+	const bits = 0x7ff8000000000001
+	nan := math.Float64frombits(bits)
+	var buf bytes.Buffer
+	if err := WriteArray(newWriter(&buf, LittleEndian, 0), []float64{nan}); err != nil {
+		t.Fatal(err)
+	}
+	v := readOne[float64](t, newReader(bytes.NewReader(buf.Bytes()), LittleEndian, 0))
+	if math.Float64bits(v) != bits {
+		t.Fatalf("stream: NaN payload not preserved: %x", math.Float64bits(v))
+	}
+	mem, err := DecodeArray[float64](AppendArray(nil, []float64{nan}, BigEndian), 1, BigEndian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(mem[0]) != bits {
+		t.Fatalf("in-memory: NaN payload not preserved: %x", math.Float64bits(mem[0]))
+	}
+}
+
 func TestAlignment(t *testing.T) {
 	var buf bytes.Buffer
 	w := newWriter(&buf, LittleEndian, 0)

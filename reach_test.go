@@ -69,6 +69,173 @@ func TestReachableFixture(t *testing.T) {
 	}
 }
 
+// TestReachableFindings covers each rule of the guard on a small module
+// written to a temporary directory. Every case starts from a base module
+// where main calls a.Used; files and allowlist lines are added on top, and
+// referrers names directories scanned as referrers only.
+func TestReachableFindings(t *testing.T) {
+	base := map[string]string{
+		"go.mod":  "module m\n\ngo 1.22\n",
+		"main.go": "package main\n\nimport \"m/a\"\n\nfunc main() { a.Used() }\n",
+		"a/a.go":  "package a\n\nfunc Used() {}\n",
+	}
+	cases := []struct {
+		name      string
+		files     map[string]string
+		allow     string
+		referrers []string
+		want      []string // findings, sorted by key
+		wantErr   bool
+	}{
+		{name: "clean"},
+		{
+			name:  "dead exported type",
+			files: map[string]string{"a/t.go": "package a\n\ntype T int\n"},
+			want:  []string{"a.T: exported type with no non-test reference"},
+		},
+		{
+			name:  "dead exported var",
+			files: map[string]string{"a/v.go": "package a\n\nvar V, w = 1, 2\n"},
+			want:  []string{"a.V: exported var with no non-test reference"},
+		},
+		{
+			name:  "dead exported const",
+			files: map[string]string{"a/c.go": "package a\n\nconst (\n\tC = iota\n\t_\n)\n"},
+			want:  []string{"a.C: exported const with no non-test reference"},
+		},
+		{
+			name:  "package with no importer",
+			files: map[string]string{"b/b.go": "package b\n\nfunc B() {}\n"},
+			want:  []string{"b: package with no importer"},
+		},
+		{
+			name: "package imported only from tests",
+			files: map[string]string{
+				"b/b.go":      "package b\n\nfunc B() {}\n",
+				"a/a_test.go": "package a\n\nimport \"m/b\"\n\nvar _ = b.B\n",
+			},
+			want: []string{"b: package imported only from tests"},
+		},
+		{
+			name:  "allowlisted package",
+			files: map[string]string{"b/b.go": "package b\n\nfunc B() {}\n"},
+			allow: "b — test support\n",
+		},
+		{
+			name:  "stale package line: now imported",
+			allow: "a — was test support\n",
+			want:  []string{"a: stale allowlist line: now imported"},
+		},
+		{
+			name:  "stale symbol line: now referenced",
+			allow: "a.Used — was kept\n",
+			want:  []string{"a.Used: stale allowlist line: now referenced"},
+		},
+		{
+			name:  "stale lines: gone",
+			allow: "# comment\n\ngone — was a package\na.Gone — was a symbol\n",
+			want: []string{
+				"a.Gone: stale allowlist line: no such symbol",
+				"gone: stale allowlist line: no such package",
+			},
+		},
+		{
+			name: "methods are not guarded",
+			files: map[string]string{
+				"a/a.go": "package a\n\ntype S struct{}\n\nfunc (S) M() {}\n\nfunc Used() { var s S; _ = s }\n",
+			},
+		},
+		{
+			name: "recursion is not a reference",
+			files: map[string]string{
+				"a/r.go": "package a\n\nfunc loop(n int) {\n\tif n > 0 {\n\t\tloop(n - 1)\n\t}\n}\n",
+			},
+			want: []string{"a.loop: unexported func its package never references"},
+		},
+		{
+			name: "declared names are not references",
+			files: map[string]string{
+				"a/a.go": "package a\n\ntype S struct{ helper int }\n\n" +
+					"func Used() {\n\tvar s S\n\t_ = s\n\tvar f func(helper int)\n\t_ = f\n}\n\n" +
+					"func helper() {}\n",
+			},
+			want: []string{"a.helper: unexported func its package never references"},
+		},
+		{
+			name: "renamed import",
+			files: map[string]string{
+				"main.go": "package main\n\nimport x \"m/a\"\n\nfunc main() { x.Used() }\n",
+			},
+		},
+		{
+			name: "nested module is not scanned",
+			files: map[string]string{
+				"a/e.go":     "package a\n\nfunc Extra() {}\n",
+				"ext/go.mod": "module m/ext\n",
+				"ext/ext.go": "package ext\n\nimport \"m/a\"\n\nvar _ = a.Extra\n",
+			},
+			want: []string{"a.Extra: exported func with no non-test reference"},
+		},
+		{
+			name: "referrer directory references count",
+			files: map[string]string{
+				"a/e.go":     "package a\n\nfunc Extra() {}\n",
+				"ext/go.mod": "module m/ext\n",
+				"ext/ext.go": "package ext\n\nimport \"m/a\"\n\nvar _ = a.Extra\n\nfunc Own() {}\n",
+			},
+			referrers: []string{"ext"},
+		},
+		{
+			name:    "allowlist line without reason",
+			allow:   "a.Used\n",
+			wantErr: true,
+		},
+		{
+			name:    "allowlist line listed twice",
+			allow:   "b — one\nb — two\n",
+			wantErr: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			files := map[string]string{"allow.txt": tc.allow}
+			for name, body := range base {
+				files[name] = body
+			}
+			for name, body := range tc.files {
+				files[name] = body
+			}
+			for name, body := range files {
+				p := filepath.Join(root, filepath.FromSlash(name))
+				if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := unreachable(root, filepath.Join(root, "allow.txt"), tc.referrers...)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("no error; findings %v", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			for _, f := range got {
+				lines = append(lines, f.String())
+			}
+			if strings.Join(lines, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(tc.want, "\n"))
+			}
+		})
+	}
+}
+
 type reachFinding struct {
 	key, why string
 	pos      string
