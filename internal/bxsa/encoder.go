@@ -17,8 +17,10 @@ type EncodeOptions struct {
 	Order xbs.ByteOrder
 }
 
-// trailerRoom is the spare capacity MarshalAppend leaves when it must grow
-// dst: room for wssec's 32-byte HMAC-SHA256 tag.
+// trailerRoom is the spare capacity MarshalAppend leaves past the message
+// when it must grow dst. It is part of MarshalAppend's contract: wssec
+// appends its HMAC-SHA256 tag (sha256.Size = 32 bytes) after the BXSA
+// message, and wssec's TestMarshalAppendLeavesTagRoom ties the two sizes.
 const trailerRoom = 32
 
 // Marshal serializes a bXDM tree to BXSA.
@@ -30,15 +32,15 @@ func Marshal(n bxdm.Node, opts EncodeOptions) ([]byte, error) {
 // returning the extended slice. Because the measure pass computes the exact
 // encoded size first, the destination grows at most once — callers handing
 // in a pooled buffer of roughly the right capacity get a zero-allocation
-// emit.
+// emit. A grown destination keeps trailerRoom (32) spare bytes past the
+// message, so a caller that appends a trailer of up to that size, as
+// wssec does with its tag, does not grow it again.
 func MarshalAppend(dst []byte, n bxdm.Node, opts EncodeOptions) ([]byte, error) {
 	e, err := newEncoding(n, opts)
 	if err != nil {
 		return nil, err
 	}
 	if need := len(dst) + e.total; cap(dst) < need {
-		// The grown buffer keeps trailerRoom spare bytes, so a wrapping
-		// policy that appends a trailer (wssec's HMAC tag) grows it once.
 		nb := make([]byte, len(dst), need+trailerRoom)
 		copy(nb, dst)
 		dst = nb

@@ -99,7 +99,8 @@ func (BXSAEncoding) Name() string { return "BXSA" }
 func (BXSAEncoding) ContentType() string { return "application/x-bxsa" }
 
 // AppendEncode implements Encoding. BXSA measures before it emits, so the
-// destination is grown to the exact encoded size in one step.
+// destination is grown in one step, to the encoded size plus the trailer
+// room bxsa.MarshalAppend documents.
 func (b BXSAEncoding) AppendEncode(dst []byte, doc *bxdm.Document) ([]byte, error) {
 	return bxsa.MarshalAppend(dst, doc, bxsa.EncodeOptions{Order: b.Order})
 }

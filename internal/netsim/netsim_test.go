@@ -37,26 +37,37 @@ func drainServer(t *testing.T, n *Network) (net.Conn, func()) {
 	}
 }
 
-// pingRTT times 1-byte ping-pongs over a fresh connection: one warm-up
-// exchange, then the fastest of pingRounds. Each timed exchange pays both
-// turnaround pauses, so no round can come in under the configured RTT; the
-// fastest one is the emulator's own cost, free of the scheduling noise a
-// loaded machine adds to any single round.
-func pingRTT(t *testing.T, n *Network) time.Duration {
+// measureRTT estimates the effective request-response latency of the
+// network by timing a 1-byte ping-pong over a fresh connection: one
+// warm-up exchange, then the mean of three back-to-back round trips timed
+// on the package clock.
+func measureRTT(t *testing.T, n *Network) time.Duration {
 	t.Helper()
-	const pingRounds = 8
 	l, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	errc := make(chan error, 1)
 	go func() {
 		c, err := l.Accept()
 		if err != nil {
+			errc <- err
 			return
 		}
 		defer c.Close()
-		io.CopyN(c, c, 1+pingRounds)
+		buf := make([]byte, 1)
+		for i := 0; i < 4; i++ {
+			if _, err := c.Read(buf); err != nil {
+				errc <- err
+				return
+			}
+			if _, err := c.Write(buf); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
 	}()
 	c, err := n.Dial(l.Addr().String())
 	if err != nil {
@@ -64,26 +75,33 @@ func pingRTT(t *testing.T, n *Network) time.Duration {
 	}
 	defer c.Close()
 	buf := make([]byte, 1)
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i <= pingRounds; i++ {
-		start := time.Now()
+	// Warm up once, then time three round trips.
+	if _, err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	start := clk.Now()
+	for i := 0; i < 3; i++ {
 		if _, err := c.Write(buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := io.ReadFull(c, buf); err != nil {
+		if _, err := c.Read(buf); err != nil {
 			t.Fatal(err)
 		}
-		if d := time.Since(start); i > 0 && d < best {
-			best = d
-		}
 	}
-	return best
+	rtt := clk.Now().Sub(start) / 3
+	if err := <-errc; err != nil {
+		t.Fatalf("ping server: %v", err)
+	}
+	return rtt
 }
 
 func TestRTTInjection(t *testing.T) {
 	prof := Profile{Name: "test", RTT: 10 * time.Millisecond}
 	n := New(prof)
-	rtt := pingRTT(t, n)
+	rtt := measureRTT(t, n)
 	// A 1-byte ping-pong should cost about one RTT (half per direction).
 	if rtt < prof.RTT || rtt > prof.RTT*3 {
 		t.Errorf("measured RTT %v, configured %v", rtt, prof.RTT)

@@ -47,8 +47,8 @@ func TestSleepPreciseZeroAndNegative(t *testing.T) {
 }
 
 func TestWANSlowerThanLAN(t *testing.T) {
-	lan := pingRTT(t, New(LAN))
-	wan := pingRTT(t, New(WAN))
+	lan := measureRTT(t, New(LAN))
+	wan := measureRTT(t, New(WAN))
 	if wan < lan*5 {
 		t.Errorf("WAN RTT (%v) not clearly above LAN RTT (%v)", wan, lan)
 	}

@@ -132,12 +132,11 @@ type Recorder struct {
 	cfg        RecorderConfig
 	slowThresh atomic.Int64 // runtime slow threshold, ns; <= -1 disables
 
-	mu      sync.Mutex
-	byID    map[TraceID]*traceEntry
-	recent  []*traceEntry // ring, oldest first
-	slow    []*traceEntry // ring, oldest first
-	events  []Event       // ring, oldest first
-	dropped uint64        // traces evicted from recent
+	mu     sync.Mutex
+	byID   map[TraceID]*traceEntry
+	recent []*traceEntry // ring, oldest first
+	slow   []*traceEntry // ring, oldest first
+	events []Event       // ring, oldest first
 }
 
 // NewRecorder builds a flight recorder.
@@ -193,7 +192,6 @@ func (r *Recorder) record(h *Hop) {
 			evicted := r.recent[0]
 			r.recent = r.recent[1:]
 			delete(r.byID, evicted.id)
-			r.dropped++
 		}
 	}
 	e.hops = append(e.hops, h)

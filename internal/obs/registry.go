@@ -159,11 +159,10 @@ func (s *Series) Snapshot(tick int64, n int) SeriesSnapshot {
 // Observer without dimensional metrics carries a nil *Registry and every
 // recording through it is a no-op.
 type Registry struct {
-	limit    int
+	limit    int // always DefaultSeriesLimit; a field so tests can lower it
 	series   atomic.Pointer[map[SeriesKey]*Series]
 	mu       sync.Mutex // serializes inserts; reads never take it
 	overflow Series
-	dropped  Counter // keyed recordings routed to the overflow series
 }
 
 func newRegistry() *Registry {
@@ -197,7 +196,6 @@ func (r *Registry) insert(key SeriesKey) *Series {
 		return s
 	}
 	if len(cur) >= r.limit {
-		r.dropped.Inc()
 		return &r.overflow
 	}
 	next := make(map[SeriesKey]*Series, len(cur)+1)

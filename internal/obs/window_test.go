@@ -151,9 +151,6 @@ func TestRegistryCardinalityOverflow(t *testing.T) {
 	if got := reg.Len(); got != 2 {
 		t.Errorf("registry len = %d, want 2", got)
 	}
-	if got := reg.dropped.Load(); got != 3 {
-		t.Errorf("dropped = %d, want 3", got)
-	}
 	if got := o.Counter(SeriesOverflow); got != 3 {
 		t.Errorf("SeriesOverflow counter = %d, want 3", got)
 	}

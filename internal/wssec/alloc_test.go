@@ -7,8 +7,23 @@ import (
 	"testing"
 
 	"bxsoap/internal/bxdm"
+	"bxsoap/internal/bxsa"
 	"bxsoap/internal/core"
 )
+
+// TestMarshalAppendLeavesTagRoom ties bxsa.MarshalAppend's trailer room to
+// the tag Secured.AppendEncode appends: a grown destination must keep at
+// least sha256.Size spare bytes past the BXSA message.
+func TestMarshalAppendLeavesTagRoom(t *testing.T) {
+	doc := &bxdm.Document{Children: []bxdm.Node{bxdm.NewArray(bxdm.LocalName("a"), make([]float64, 1000))}}
+	out, err := bxsa.MarshalAppend(make([]byte, 0, 8), doc, bxsa.EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spare := cap(out) - len(out); spare < sha256.Size {
+		t.Fatalf("grown buffer keeps %d spare bytes, want >= %d (sha256.Size)", spare, sha256.Size)
+	}
+}
 
 // TestSecuredGrowOnceAlloc: when the destination is too small — the first
 // encode of a shape larger than any before it — the inner encoding's one

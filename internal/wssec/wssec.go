@@ -55,7 +55,9 @@ func (s Secured[E]) ContentType() string { return s.Inner.ContentType() + `; sig
 
 // AppendEncode implements core.Encoding: the magic, the inner policy
 // appending in place after it, and the tag appended over those inner bytes,
-// so securing adds no extra payload copy.
+// so securing adds no extra payload copy. When a BXSA inner encoding must
+// grow dst, bxsa.MarshalAppend leaves room for the tag, so the buffer grows
+// once; other inner encodings may grow it again for the tag.
 func (s Secured[E]) AppendEncode(dst []byte, doc *bxdm.Document) ([]byte, error) {
 	dst = append(dst, magic...)
 	start := len(dst)
