@@ -6,23 +6,9 @@
 //	benchharness -exp fig5            # Figure 5: large-message bandwidth, LAN
 //	benchharness -exp fig6            # Figure 6: large-message bandwidth, WAN
 //	benchharness -exp pool            # pooled concurrent throughput, LAN+WAN
-//	benchharness -exp stages          # per-stage latency breakdown (obs layer), LAN
-//	benchharness -exp mux             # stream-multiplexed vs pooled throughput at a fixed socket budget
-//	benchharness -exp templates       # schema-compiled plans: generic vs templated per-call cost
-//	benchharness -exp stream          # chunked pipeline: first-byte latency + throughput vs buffered
 //	benchharness -exp slo             # SLO burn-rate lifecycle: deterministic overload ramp, exits non-zero on breach
-//	benchharness -exp stages,mux      # comma-separated lists run several experiments
+//	benchharness -exp table1,fig4     # comma-separated lists run several experiments
 //	benchharness -exp all -full       # everything, at the paper's full sizes
-//
-// -window N selects how many observation windows the stage/template tables
-// merge for their latency columns (default 1: the steady-state window the
-// harness rotates into after warm-up; 0 restores lifetime aggregates).
-//
-// -obs-json FILE additionally dumps the stage experiment's raw observability
-// snapshots (per-combo client+server counters, gauges, stage histograms) as a
-// JSON artifact; CI archives it next to the benchmem output. -bench-json FILE
-// writes the slim machine-readable records (ns/op, B/op, allocs/op, stage
-// means, wait p95) that cmd/benchdiff compares across PR artifacts.
 //
 // Output is one table per experiment with the same rows/series the paper
 // plots. Absolute numbers differ from the 2006 testbed; EXPERIMENTS.md
@@ -30,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -43,13 +28,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment (comma-separated): table1, fig4, fig5, fig6, pool, stages, mux, templates, stream, slo, or all")
+	exp := flag.String("exp", "all", "experiment (comma-separated): table1, fig4, fig5, fig6, pool, slo, or all")
 	full := flag.Bool("full", false, "run the complete model-size sweep (up to 5.59M pairs / 64MB; slow)")
 	iters := flag.Int("iters", 2, "measured iterations per point (minimum reported)")
 	sizesFlag := flag.String("sizes", "", "comma-separated model sizes overriding the experiment's default sweep")
-	obsJSON := flag.String("obs-json", "", "write the stage experiment's raw observability snapshots to FILE")
-	benchJSON := flag.String("bench-json", "", "write the stage experiment's machine-readable bench records (ns/op, B/op, allocs/op, stage means) to FILE")
-	window := flag.Int("window", 1, "observation windows merged into the stage/template latency columns (0 = lifetime)")
 	verbose := flag.Bool("v", false, "print per-point progress")
 	flag.Parse()
 
@@ -69,11 +51,6 @@ func main() {
 	if *verbose {
 		progress = os.Stderr
 	}
-
-	// benchRecords accumulates the machine-readable records every selected
-	// experiment contributes; -bench-json writes them once at the end so one
-	// artifact carries the stage combos and the throughput trajectories.
-	var benchRecords []harness.BenchRecord
 
 	run := func(name string, f func() error) {
 		fmt.Printf("\n=== %s ===\n", name)
@@ -164,116 +141,6 @@ func main() {
 		})
 	}
 
-	if want("stages") {
-		run("Per-stage latency breakdown: encode/wire/handler/decode, LAN, model size 1000", func() error {
-			results, err := harness.StageBreakdown(harness.StageConfig{
-				Profile:   netsim.LAN,
-				ModelSize: 1000,
-				Calls:     max(*iters*10, 20),
-				Window:    *window,
-				Progress:  progress,
-			})
-			if err != nil {
-				return err
-			}
-			harness.PrintStageBreakdown(os.Stdout, results)
-			if *obsJSON != "" {
-				data, err := json.MarshalIndent(results, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*obsJSON, append(data, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "benchharness: wrote observability snapshots to %s\n", *obsJSON)
-			}
-			benchRecords = append(benchRecords, harness.BenchRecords(results)...)
-			return nil
-		})
-	}
-
-	if want("templates") {
-		run("Schema-compiled templates: generic vs templated per-call cost, LAN, model size 1000", func() error {
-			results, err := harness.TemplateBreakdown(harness.StageConfig{
-				Profile:   netsim.LAN,
-				ModelSize: 1000,
-				Calls:     max(*iters*10, 20),
-				Window:    *window,
-				Progress:  progress,
-			})
-			if err != nil {
-				return err
-			}
-			harness.PrintTemplateComparison(os.Stdout, results)
-			benchRecords = append(benchRecords, harness.BenchRecords(results)...)
-			return nil
-		})
-	}
-
-	if want("mux") {
-		run("Stream-multiplexed throughput: muxbind vs pooled one-conn-per-call, 8 sockets, LAN, model size 500", func() error {
-			const size, conns = 500, 8
-			concs := []int{100, 1000}
-			var points []harness.ThroughputPoint
-			for _, c := range concs {
-				calls := 2 * c
-				for _, measure := range []func() (harness.ThroughputPoint, error){
-					func() (harness.ThroughputPoint, error) {
-						return harness.MuxThroughput(netsim.New(netsim.LAN), "BXSA", conns, c, calls, size)
-					},
-					func() (harness.ThroughputPoint, error) {
-						return harness.PooledThroughput(netsim.New(netsim.LAN), "BXSA", "tcp", conns, c, calls, size)
-					},
-				} {
-					pt, err := measure()
-					if err != nil {
-						return err
-					}
-					if progress != nil {
-						fmt.Fprintf(progress, "%-32s %.0f calls/s\n", pt.Scheme, pt.CallsPerSec)
-					}
-					points = append(points, pt)
-					benchRecords = append(benchRecords, harness.ThroughputRecord(pt))
-				}
-			}
-			harness.PrintThroughput(os.Stdout, points)
-			return nil
-		})
-	}
-
-	if want("stream") {
-		run("Streamed envelope pipeline: first-byte latency and throughput vs buffered, BXSA/TCP", func() error {
-			sizes := harness.StreamSizes
-			switch {
-			case customSizes != nil:
-				sizes = customSizes
-			case !*full:
-				sizes = sizes[:1] // ~1 MB by default; -full adds the 64 MB and 512 MB points
-				fmt.Fprintln(os.Stderr, "benchharness: using truncated stream sweep; pass -full for the 64/512 MB points")
-			}
-			const chunk = 256 << 10
-			var points []harness.StreamPoint
-			for _, prof := range []netsim.Profile{netsim.LAN, netsim.WAN} {
-				for _, size := range sizes {
-					for _, streamed := range []bool{false, true} {
-						pt, err := harness.StreamThroughput(netsim.New(prof), streamed, chunk, size, *iters)
-						if err != nil {
-							return err
-						}
-						if progress != nil {
-							fmt.Fprintf(progress, "%-28s %-5s first-byte %v total %v\n",
-								pt.Scheme, pt.Profile, pt.FirstByte, pt.Total)
-						}
-						points = append(points, pt)
-						benchRecords = append(benchRecords, harness.StreamRecords(pt)...)
-					}
-				}
-			}
-			harness.PrintStreamPoints(os.Stdout, points)
-			return nil
-		})
-	}
-
 	if want("slo") {
 		run("SLO burn-rate lifecycle: overload ramp on a simulated clock, BXSA/TCP, LAN", func() error {
 			report, err := harness.RunSLORamp(harness.SLORampConfig{Progress: progress})
@@ -302,18 +169,6 @@ func main() {
 		})
 	}
 
-	if *benchJSON != "" {
-		data, err := json.MarshalIndent(benchRecords, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchharness: -bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchharness: -bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchharness: wrote %d bench records to %s\n", len(benchRecords), *benchJSON)
-	}
 }
 
 // parseSizes parses "100,2000,50000" into a size list.

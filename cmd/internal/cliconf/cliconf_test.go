@@ -107,17 +107,17 @@ func TestParseSLO(t *testing.T) {
 	}
 
 	bad := []string{
-		"",                  // empty
-		"data",              // no objectives
-		":p99=5ms",          // empty op
-		"data:p99",          // no value
-		"data:p99=fast",     // bad duration
-		"data:p99=-5ms",     // negative target
-		"data:err=150%",     // over 100%
-		"data:err=-1%",      // negative
-		"data:burn=0",       // non-positive threshold
-		"data:p50=5ms",      // unknown objective
-		"data:burn=2",       // neither p99 nor err
+		"",              // empty
+		"data",          // no objectives
+		":p99=5ms",      // empty op
+		"data:p99",      // no value
+		"data:p99=fast", // bad duration
+		"data:p99=-5ms", // negative target
+		"data:err=150%", // over 100%
+		"data:err=-1%",  // negative
+		"data:burn=0",   // non-positive threshold
+		"data:p50=5ms",  // unknown objective
+		"data:burn=2",   // neither p99 nor err
 	}
 	for _, in := range bad {
 		if slo, err := ParseSLO(in); err == nil {

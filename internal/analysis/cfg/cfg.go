@@ -66,17 +66,17 @@ func New(body *ast.BlockStmt) *CFG {
 
 // frame is one break/continue context (loop, switch, or select).
 type frame struct {
-	label        string
-	breakTarget  *Block
+	label          string
+	breakTarget    *Block
 	continueTarget *Block // nil for switch/select frames
 }
 
 type builder struct {
-	cfg          *CFG
-	cur          *Block // nil after a terminator (return/break/goto/...)
-	frames       []frame
-	labels       map[string]*Block // goto/label targets
-	pendingLabel string            // label of the construct about to be built
+	cfg               *CFG
+	cur               *Block // nil after a terminator (return/break/goto/...)
+	frames            []frame
+	labels            map[string]*Block // goto/label targets
+	pendingLabel      string            // label of the construct about to be built
 	fallthroughTarget *Block
 }
 

@@ -69,9 +69,9 @@ type analysis struct {
 	pass *framework.Pass
 	ix   *callgraph.Index
 
-	summaries map[types.Object]string // func -> blocking reason ("" = does not block)
-	pinned    map[types.Object]string // from //paylint:nonblocking ("") and //paylint:blocks
-	exemptMu  map[string]bool         // serializes-io mutex identities
+	summaries   map[types.Object]string // func -> blocking reason ("" = does not block)
+	pinned      map[types.Object]string // from //paylint:nonblocking ("") and //paylint:blocks
+	exemptMu    map[string]bool         // serializes-io mutex identities
 	fieldBlocks map[types.Object]string // //paylint:blocks on func-typed fields
 	selOK       map[*ast.SelectStmt]bool
 	reportedSel map[*ast.SelectStmt]bool

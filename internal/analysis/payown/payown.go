@@ -155,7 +155,7 @@ func isPayloadPtr(t types.Type) bool {
 // state is the per-path view of every tracked variable.
 type state struct {
 	vars     map[types.Object]status
-	deferred map[types.Object]bool // a `defer v.Release()` is registered
+	deferred map[types.Object]bool         // a `defer v.Release()` is registered
 	errOf    map[types.Object]types.Object // tracked var -> its paired err var
 }
 

@@ -18,7 +18,7 @@ func TestChurnCodecAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const budget = 94
+	const budget = 86
 	cli := newTemplatedCodec(XMLEncoding{}, 16, nil)
 	srv := newTemplatedCodec(XMLEncoding{}, 16, nil)
 	envs := churnEnvs(64)
@@ -59,15 +59,15 @@ func (releasingSink) Abort() {}
 
 // TestStreamedXMLEncodeAllocBudget pins a streamed XML encode: 2000 float64
 // items in 4 KiB windows, about ten chunks, every chunk from the warm pool.
-// The encoder writes into the pending pooled chunk itself, so a message
-// costs the XML encoder's own allocations (namespace declarations, the
-// arrayType attribute) plus the chunk writer, and no buffer per window or
-// per message.
+// The encoder writes into the pending pooled chunk itself and a warm XML
+// encoder allocates nothing of its own, so the one allocation left is the
+// chunk writer, which escapes as the encoder's sink: no buffer per window
+// or per message.
 func TestStreamedXMLEncodeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const budget = 7
+	const budget = 1
 	items := make([]float64, 2000)
 	for i := range items {
 		items[i] = float64(i) * 1.5

@@ -8,6 +8,7 @@ import (
 
 	"bxsoap/internal/bxdm"
 	"bxsoap/internal/core"
+	"bxsoap/internal/httpbind"
 	"bxsoap/internal/obs"
 	"bxsoap/internal/tcpbind"
 )
@@ -28,56 +29,115 @@ func startObservedServer(t *testing.T, h core.Handler, opts ...core.ServerOption
 	return srv, srvObs
 }
 
-func TestObservedCallRecordsStagesAndCounters(t *testing.T) {
-	srv, srvObs := startObservedServer(t, func(_ context.Context, _ *core.Envelope) (*core.Envelope, error) {
-		return core.NewEnvelope(bxdm.NewLeaf(bxdm.LocalName("ok"), int32(1))), nil
-	})
-	cliObs := obs.New()
-	eng := core.NewEngine(core.BXSAEncoding{},
-		tcpbind.New(tcpbind.NetDialer, srv.Addr().String(), tcpbind.WithObserver(cliObs)),
-		core.WithObserver(cliObs))
-	defer eng.Close()
-
-	const calls = 5
-	for i := 0; i < calls; i++ {
-		if _, err := eng.Call(context.Background(), core.NewEnvelope()); err != nil {
+// observedCall starts an E server over the named binding ("tcp" or "http")
+// with srvObs wired into the server and its listener, and returns the Call
+// of an engine whose engine and binding record into cliObs.
+func observedCall[E core.Encoding](t *testing.T, binding string, h core.Handler, srvObs, cliObs *obs.Observer) func(context.Context, *core.Envelope) (*core.Envelope, error) {
+	t.Helper()
+	var enc E
+	switch binding {
+	case "tcp":
+		l, err := tcpbind.Listen("127.0.0.1:0", tcpbind.WithObserver(srvObs))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// Client side: the full stage sequence once per call, balanced counters.
-	for _, st := range []obs.Stage{obs.ClientEncode, obs.ClientSend, obs.ClientWait, obs.ClientDecode} {
-		if got := cliObs.StageSnapshot(st).Count; got != calls {
-			t.Errorf("client stage %v count = %d, want %d", st, got, calls)
+		srv := core.NewServer(enc, l, h, core.WithObserver(srvObs))
+		go srv.Serve()
+		t.Cleanup(func() { srv.Close() })
+		eng := core.NewEngine(enc,
+			tcpbind.New(tcpbind.NetDialer, srv.Addr().String(), tcpbind.WithObserver(cliObs)),
+			core.WithObserver(cliObs))
+		t.Cleanup(func() { eng.Close() })
+		return eng.Call
+	case "http":
+		hl, err := httpbind.Listen("127.0.0.1:0", httpbind.WithObserver(srvObs))
+		if err != nil {
+			t.Fatal(err)
 		}
+		srv := core.NewServer(enc, hl, h, core.WithObserver(srvObs))
+		go srv.Serve()
+		t.Cleanup(func() { srv.Close() })
+		eng := core.NewEngine(enc,
+			httpbind.New(nil, hl.URL(), httpbind.WithObserver(cliObs)),
+			core.WithObserver(cliObs))
+		t.Cleanup(func() { eng.Close() })
+		return eng.Call
 	}
-	if s, c, f := cliObs.Counter(obs.CallsStarted), cliObs.Counter(obs.CallsCompleted), cliObs.Counter(obs.CallsFailed); s != calls || c != calls || f != 0 {
-		t.Errorf("client counters started/completed/failed = %d/%d/%d, want %d/%d/0", s, c, f, calls, calls)
-	}
-	if got := cliObs.Counter(obs.MessagesSent); got != calls {
-		t.Errorf("client binding sent %d messages, want %d", got, calls)
-	}
-	if cliObs.Counter(obs.BytesSent) == 0 || cliObs.Counter(obs.BytesReceived) == 0 {
-		t.Error("client binding byte counters did not move")
-	}
+	t.Fatalf("unknown binding %q", binding)
+	return nil
+}
 
-	// Server side: requests counted, handler and codec stages populated.
-	// The server marks ServerSend after the response is on the wire, so the
-	// client can return before the last call's mark lands: wait for it,
-	// within a bound.
-	for deadline := time.Now().Add(2 * time.Second); srvObs.StageSnapshot(obs.ServerSend).Count < calls && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
+func TestObservedCallRecordsStagesAndCounters(t *testing.T) {
+	h := func(_ context.Context, _ *core.Envelope) (*core.Envelope, error) {
+		return core.NewEnvelope(bxdm.NewLeaf(bxdm.LocalName("ok"), int32(1))), nil
 	}
-	if got := srvObs.Counter(obs.ServerRequests); got != calls {
-		t.Errorf("server requests = %d, want %d", got, calls)
-	}
-	if got := srvObs.Counter(obs.ServerFaults); got != 0 {
-		t.Errorf("server faults = %d, want 0", got)
-	}
-	for _, st := range []obs.Stage{obs.ServerReceive, obs.ServerDecode, obs.ServerHandler, obs.ServerEncode, obs.ServerSend} {
-		if got := srvObs.StageSnapshot(st).Count; got != calls {
-			t.Errorf("server stage %v count = %d, want %d", st, got, calls)
-		}
+	for _, tc := range []struct {
+		name    string
+		start   func(*testing.T, string, core.Handler, *obs.Observer, *obs.Observer) func(context.Context, *core.Envelope) (*core.Envelope, error)
+		binding string
+	}{
+		{"BXSA/tcp", observedCall[core.BXSAEncoding], "tcp"},
+		{"XML/tcp", observedCall[core.XMLEncoding], "tcp"},
+		{"BXSA/http", observedCall[core.BXSAEncoding], "http"},
+		{"XML/http", observedCall[core.XMLEncoding], "http"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvObs, cliObs := obs.New(), obs.New()
+			call := tc.start(t, tc.binding, h, srvObs, cliObs)
+
+			const calls = 5
+			for i := 0; i < calls; i++ {
+				if _, err := call(context.Background(), core.NewEnvelope()); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Client side: the full stage sequence once per call, balanced
+			// counters, and codec stages that took measurable time.
+			for _, st := range []obs.Stage{obs.ClientEncode, obs.ClientSend, obs.ClientWait, obs.ClientDecode} {
+				if got := cliObs.StageSnapshot(st).Count; got != calls {
+					t.Errorf("client stage %v count = %d, want %d", st, got, calls)
+				}
+			}
+			for _, st := range []obs.Stage{obs.ClientEncode, obs.ClientDecode} {
+				if m := cliObs.StageSnapshot(st).Mean(); m <= 0 {
+					t.Errorf("client stage %v mean = %v, want > 0", st, m)
+				}
+			}
+			if s, c, f := cliObs.Counter(obs.CallsStarted), cliObs.Counter(obs.CallsCompleted), cliObs.Counter(obs.CallsFailed); s != calls || c != calls || f != 0 {
+				t.Errorf("client counters started/completed/failed = %d/%d/%d, want %d/%d/0", s, c, f, calls, calls)
+			}
+			if got := cliObs.Counter(obs.MessagesSent); got != calls {
+				t.Errorf("client binding sent %d messages, want %d", got, calls)
+			}
+			if cliObs.Counter(obs.BytesSent) == 0 || cliObs.Counter(obs.BytesReceived) == 0 {
+				t.Error("client binding byte counters did not move")
+			}
+
+			// Server side: requests counted, handler and codec stages
+			// populated. The server marks ServerSend after the response is
+			// on the wire, so the client can return before the last call's
+			// mark lands: wait for it, within a bound.
+			for deadline := time.Now().Add(2 * time.Second); srvObs.StageSnapshot(obs.ServerSend).Count < calls && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if got := srvObs.Counter(obs.ServerRequests); got != calls {
+				t.Errorf("server requests = %d, want %d", got, calls)
+			}
+			if got := srvObs.Counter(obs.ServerFaults); got != 0 {
+				t.Errorf("server faults = %d, want 0", got)
+			}
+			for _, st := range []obs.Stage{obs.ServerReceive, obs.ServerDecode, obs.ServerHandler, obs.ServerEncode, obs.ServerSend} {
+				if got := srvObs.StageSnapshot(st).Count; got != calls {
+					t.Errorf("server stage %v count = %d, want %d", st, got, calls)
+				}
+			}
+			for _, st := range []obs.Stage{obs.ServerDecode, obs.ServerEncode} {
+				if m := srvObs.StageSnapshot(st).Mean(); m <= 0 {
+					t.Errorf("server stage %v mean = %v, want > 0", st, m)
+				}
+			}
+		})
 	}
 }
 

@@ -148,17 +148,17 @@ func (s *Server[E, B]) serveChannel(ch Channel) error {
 		// The server hop starts before the read: the trace context arrives
 		// inside the request, so dispatch binds it after decode. A hop whose
 		// read fails (channel closed, peer gone) is abandoned unrecorded —
-		// no request was handled.
+		// no request was handled, so not even ServerReceive is marked.
 		hop := s.obs.StartHop(obs.RoleServer)
 		*sp = s.obs.SpanWith(hop)
 		src, ct, err := ch.ReceiveRequest(ctx)
-		sp.Mark(obs.ServerReceive)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
 		}
+		sp.Mark(obs.ServerReceive)
 		if ob != nil {
 			ob.rx = countingSource{src, s.obs}
 			src = &ob.rx

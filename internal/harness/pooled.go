@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -82,12 +81,7 @@ type ThroughputPoint struct {
 	Elapsed     time.Duration
 	CallsPerSec float64
 	PairsPerSec float64
-	// BytesPerOp/AllocsPerOp are whole-process per-call heap costs of the
-	// timed loop (runtime.MemStats deltas), for the CI bench artifact.
-	BytesPerOp  uint64
-	AllocsPerOp uint64
 	Stats       svcpool.Stats
-	Err         error
 }
 
 // PooledThroughput measures aggregate request throughput: calls total
@@ -119,19 +113,13 @@ func PooledThroughput(nw *netsim.Network, encoding, transport string, conns, con
 	if err := runConcurrent(pool, env, conns, conns); err != nil {
 		return pt, err
 	}
-	runtime.GC()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	if err := runConcurrent(pool, env, concurrency, calls); err != nil {
 		return pt, err
 	}
 	pt.Elapsed = time.Since(start)
-	runtime.ReadMemStats(&ms1)
 	pt.CallsPerSec = float64(calls) / pt.Elapsed.Seconds()
 	pt.PairsPerSec = pt.CallsPerSec * float64(size)
-	pt.BytesPerOp = (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(calls)
-	pt.AllocsPerOp = (ms1.Mallocs - ms0.Mallocs) / uint64(calls)
 	pt.Stats = pool.Stats()
 	return pt, nil
 }
@@ -167,10 +155,6 @@ func PrintThroughput(w io.Writer, points []ThroughputPoint) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\tprofile\tconcurrency\tcalls\telapsed\tcalls/s\tpairs/s\tdials\treuses\tretries")
 	for _, p := range points {
-		if p.Err != nil {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\tERROR: %v\t\t\t\t\t\n", p.Scheme, p.Profile, p.Concurrency, p.Calls, p.Err)
-			continue
-		}
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%v\t%.0f\t%.0f\t%d\t%d\t%d\n",
 			p.Scheme, p.Profile, p.Concurrency, p.Calls, p.Elapsed.Round(time.Millisecond),
 			p.CallsPerSec, p.PairsPerSec, p.Stats.Dials, p.Stats.Reuses, p.Stats.Retries)

@@ -22,7 +22,6 @@ import (
 	"bxsoap/internal/httpdata"
 	"bxsoap/internal/netcdf"
 	"bxsoap/internal/netsim"
-	"bxsoap/internal/obs"
 	"bxsoap/internal/tcpbind"
 )
 
@@ -93,17 +92,6 @@ type Unified struct {
 	// Encoding is "BXSA" or "XML"; Transport is "tcp" or "http".
 	Encoding, Transport string
 
-	// ClientObs/ServerObs, when non-nil, are wired into the client engine +
-	// binding and the server + listener respectively at Setup, so a run can
-	// be decomposed into per-stage latencies (see stages.go). Separate
-	// observers per side keep the symmetric stages (encode/decode) from
-	// polluting each other.
-	ClientObs, ServerObs *obs.Observer
-
-	// Templates, when positive, enables the shape-keyed template cache on
-	// both sides with that capacity (core.WithTemplates).
-	Templates int
-
 	name    string
 	call    func(*core.Envelope) (*core.Envelope, error)
 	closers []func() error
@@ -116,15 +104,6 @@ func NewUnified(encoding, transport string) *Unified {
 		Transport: transport,
 		name:      fmt.Sprintf("SOAP over %s/%s", encoding, transportLabel(transport)),
 	}
-}
-
-// NewTemplatedUnified builds the unified scheme with the template cache
-// enabled on both client and server (capacity shapes per side).
-func NewTemplatedUnified(encoding, transport string, capacity int) *Unified {
-	u := NewUnified(encoding, transport)
-	u.Templates = capacity
-	u.name = "Templated " + u.name
-	return u
 }
 
 func transportLabel(t string) string {
@@ -145,49 +124,31 @@ func (u *Unified) Setup(nw *netsim.Network, _ string) error {
 	if err != nil {
 		return err
 	}
-	engOpts := []core.EngineOption{core.WithObserver(u.ClientObs)}
-	srvOpts := []core.ServerOption{core.WithObserver(u.ServerObs)}
-	if u.Templates > 0 {
-		engOpts = append(engOpts, core.WithTemplates(u.Templates))
-		srvOpts = append(srvOpts, core.WithTemplates(u.Templates))
-	}
 	switch {
 	case u.Encoding == "BXSA" && u.Transport == "tcp":
-		srv := core.NewServer(core.BXSAEncoding{},
-			tcpbind.NewListener(l, tcpbind.WithObserver(u.ServerObs)),
-			unifiedHandler, srvOpts...)
+		srv := core.NewServer(core.BXSAEncoding{}, tcpbind.NewListener(l), unifiedHandler)
 		go srv.Serve()
-		eng := core.NewEngine(core.BXSAEncoding{},
-			tcpbind.New(nw.Dial, l.Addr().String(), tcpbind.WithObserver(u.ClientObs)),
-			engOpts...)
+		eng := core.NewEngine(core.BXSAEncoding{}, tcpbind.New(nw.Dial, l.Addr().String()))
 		u.call = func(e *core.Envelope) (*core.Envelope, error) { return eng.Call(context.Background(), e) }
 		u.closers = []func() error{eng.Close, srv.Close}
 	case u.Encoding == "XML" && u.Transport == "http":
-		hl := httpbind.NewListener(l, httpbind.WithObserver(u.ServerObs))
-		srv := core.NewServer(core.XMLEncoding{}, hl, unifiedHandler, srvOpts...)
+		hl := httpbind.NewListener(l)
+		srv := core.NewServer(core.XMLEncoding{}, hl, unifiedHandler)
 		go srv.Serve()
-		eng := core.NewEngine(core.XMLEncoding{},
-			httpbind.New(nw.Dial, hl.URL(), httpbind.WithObserver(u.ClientObs)),
-			engOpts...)
+		eng := core.NewEngine(core.XMLEncoding{}, httpbind.New(nw.Dial, hl.URL()))
 		u.call = func(e *core.Envelope) (*core.Envelope, error) { return eng.Call(context.Background(), e) }
 		u.closers = []func() error{eng.Close, srv.Close}
 	case u.Encoding == "XML" && u.Transport == "tcp":
-		srv := core.NewServer(core.XMLEncoding{},
-			tcpbind.NewListener(l, tcpbind.WithObserver(u.ServerObs)),
-			unifiedHandler, srvOpts...)
+		srv := core.NewServer(core.XMLEncoding{}, tcpbind.NewListener(l), unifiedHandler)
 		go srv.Serve()
-		eng := core.NewEngine(core.XMLEncoding{},
-			tcpbind.New(nw.Dial, l.Addr().String(), tcpbind.WithObserver(u.ClientObs)),
-			engOpts...)
+		eng := core.NewEngine(core.XMLEncoding{}, tcpbind.New(nw.Dial, l.Addr().String()))
 		u.call = func(e *core.Envelope) (*core.Envelope, error) { return eng.Call(context.Background(), e) }
 		u.closers = []func() error{eng.Close, srv.Close}
 	case u.Encoding == "BXSA" && u.Transport == "http":
-		hl := httpbind.NewListener(l, httpbind.WithObserver(u.ServerObs))
-		srv := core.NewServer(core.BXSAEncoding{}, hl, unifiedHandler, srvOpts...)
+		hl := httpbind.NewListener(l)
+		srv := core.NewServer(core.BXSAEncoding{}, hl, unifiedHandler)
 		go srv.Serve()
-		eng := core.NewEngine(core.BXSAEncoding{},
-			httpbind.New(nw.Dial, hl.URL(), httpbind.WithObserver(u.ClientObs)),
-			engOpts...)
+		eng := core.NewEngine(core.BXSAEncoding{}, httpbind.New(nw.Dial, hl.URL()))
 		u.call = func(e *core.Envelope) (*core.Envelope, error) { return eng.Call(context.Background(), e) }
 		u.closers = []func() error{eng.Close, srv.Close}
 	default:

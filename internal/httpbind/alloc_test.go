@@ -19,7 +19,7 @@ func TestBufferedCallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const budget = 305
+	const budget = 284
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

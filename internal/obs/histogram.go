@@ -53,8 +53,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// Reset zeroes every bucket and the sum. Like Observer.Reset it is meant
-// for quiescent moments and is not atomic against concurrent Observe calls.
+// Reset zeroes every bucket and the sum. It is not atomic against
+// concurrent Observe calls; windowSlot.advance calls it under the slot's
+// rotation lock when the ring moves on.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)

@@ -54,9 +54,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is an atomic up/down value that also tracks its high-water mark.
 type Gauge struct {
 	v  atomic.Int64
@@ -96,12 +93,6 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // HighWater returns the largest value the gauge has reached.
 func (g *Gauge) HighWater() int64 { return g.hw.Load() }
-
-// Reset zeroes the value and the high-water mark.
-func (g *Gauge) Reset() {
-	g.v.Store(0)
-	g.hw.Store(0)
-}
 
 // CounterID names one of the Observer's fixed counters. The fixed set (vs. a
 // registry of arbitrary names) keeps recording a single array index with no
@@ -297,11 +288,9 @@ type Observer struct {
 	// Windowed-metric state. winDur is the window duration ticks are
 	// derived from; curTick caches the tick the last clocked recording path
 	// computed, so the explicit-duration paths (ObserveStage, RecordOp)
-	// place samples into the current window without reading any clock;
-	// tickOff is NextWindow's forced-rotation offset.
+	// place samples into the current window without reading any clock.
 	winDur  time.Duration
 	curTick atomic.Int64
-	tickOff atomic.Int64
 
 	// Dimensional-metric state: the (encoding, transport) labels this
 	// Observer stamps on every series, the bounded series registry, and the
@@ -396,26 +385,12 @@ func New(opts ...Option) *Observer {
 // injected clocks with odd epochs degrade to a single window instead of
 // unreachable negative ticks.
 func (o *Observer) tickAt(now time.Time) int64 {
-	t := now.UnixNano()/int64(o.winDur) + o.tickOff.Load()
+	t := now.UnixNano() / int64(o.winDur)
 	if t < 0 {
 		t = 0
 	}
 	o.curTick.Store(t)
 	return t
-}
-
-// NextWindow forces an immediate window rotation, as if a full window
-// duration had elapsed. Harnesses call it after warm-up so the measured
-// run's windowed percentiles contain no warm-up traffic — unlike Reset,
-// which races concurrent writers, rotation is watertight: stragglers from
-// the old window carry an old tick and cannot land in the new one. No-op
-// on a nil Observer.
-func (o *Observer) NextWindow() {
-	if o == nil {
-		return
-	}
-	o.tickOff.Add(1)
-	o.curTick.Add(1)
 }
 
 // Now reads the Observer's clock (zero time on a nil Observer, with no
@@ -544,15 +519,6 @@ func (o *Observer) StageSnapshot(st Stage) HistogramSnapshot {
 	return o.stages[st].Lifetime()
 }
 
-// StageWindowSnapshot merges stage st's n most recent windows, the current
-// one included (zero on a nil Observer).
-func (o *Observer) StageWindowSnapshot(st Stage, n int) HistogramSnapshot {
-	if o == nil {
-		return HistogramSnapshot{}
-	}
-	return o.stages[st].Window(o.curTick.Load(), n)
-}
-
 // RecordOp records one dimensional sample: operation op in the given role
 // (RoleClient or RoleServer) took d and succeeded or failed. The sample
 // lands in the (op, encoding, transport, role) series — the Observer's
@@ -584,25 +550,6 @@ func (o *Observer) RecordOp(op, role string, d time.Duration, failed bool, tid T
 // path would discard. False on a nil Observer.
 func (o *Observer) Dimensional() bool {
 	return o != nil && o.reg != nil
-}
-
-// Reset zeroes every counter, gauge, and stage histogram. It is meant for
-// quiescent moments — discarding warm-up traffic before a measured run — and
-// is NOT atomic with respect to concurrent writers: a recording that races
-// the reset may survive it. No-op on a nil Observer.
-func (o *Observer) Reset() {
-	if o == nil {
-		return
-	}
-	for i := range o.counters {
-		o.counters[i].Reset()
-	}
-	for i := range o.gauges {
-		o.gauges[i].Reset()
-	}
-	for i := range o.stages {
-		o.stages[i].Reset()
-	}
 }
 
 // GaugeSnapshot is the exported state of one gauge.

@@ -6,19 +6,18 @@ package obs
 // alerting, and the SLO burn-rate engine (slo.go) is defined entirely over
 // recent windows. The windowed types here keep both views at once: every
 // observation lands in the lifetime aggregate AND in a ring slot addressed
-// by a window tick, so the lifetime totals the bench artifacts diff survive
-// unchanged while /metrics?window=N and the SLO engine read only recency.
+// by a window tick, so /metrics keeps its lifetime totals while
+// /metrics?window=N and the SLO engine read only recency.
 //
 // # Ticks, not clocks
 //
 // None of these types reads a clock. A window tick is an integer the caller
 // derives from its own time source — the Observer computes it from its
-// injected now function (WithNow) plus a forced-rotation offset
-// (NextWindow), so the whole window machinery is deterministic under an
-// injected clock, including netsim's simulated time, and the explicit
-// -duration recording paths (ObserveStage) stay free of clock reads exactly
-// as their contract promises: they reuse the last tick a clocked path
-// computed.
+// injected now function (WithNow), so the whole window machinery is
+// deterministic under an injected clock, including netsim's simulated time,
+// and the explicit-duration recording paths (ObserveStage) stay free of
+// clock reads exactly as their contract promises: they reuse the last tick
+// a clocked path computed.
 //
 // # Rotation
 //
@@ -139,23 +138,6 @@ func (w *WindowedHistogram) Window(tick int64, n int) HistogramSnapshot {
 	return out
 }
 
-// Reset zeroes the lifetime aggregate and every window. Like
-// Histogram.Reset it is meant for quiescent moments. No-op on a nil
-// receiver.
-func (w *WindowedHistogram) Reset() {
-	if w == nil {
-		return
-	}
-	w.life.Reset()
-	for i := range w.slots {
-		s := &w.slots[i]
-		s.rotmu.Lock()
-		s.hist.Reset()
-		s.tick.Store(0)
-		s.rotmu.Unlock()
-	}
-}
-
 // counterSlot is one ring slot of a WindowedCounter.
 type counterSlot struct {
 	tick  atomic.Int64
@@ -239,20 +221,4 @@ func (w *WindowedCounter) Window(tick int64, n int) uint64 {
 		}
 	}
 	return out
-}
-
-// Reset zeroes the lifetime total and every window. No-op on a nil
-// receiver.
-func (w *WindowedCounter) Reset() {
-	if w == nil {
-		return
-	}
-	w.life.Reset()
-	for i := range w.slots {
-		s := &w.slots[i]
-		s.rotmu.Lock()
-		s.n.Store(0)
-		s.tick.Store(0)
-		s.rotmu.Unlock()
-	}
 }

@@ -96,42 +96,19 @@ func TestObserverWindowRotationOnInjectedClock(t *testing.T) {
 	o.Now()
 	o.ObserveStage(ClientWait, 4*time.Millisecond)
 
-	if got := o.StageWindowSnapshot(ClientWait, 1).Count; got != 1 {
+	if got := o.SnapshotWindow(1).Stages[ClientWait.String()].Count; got != 1 {
 		t.Errorf("current window count = %d, want 1", got)
 	}
-	if got := o.StageWindowSnapshot(ClientWait, 2).Count; got != 3 {
+	if got := o.SnapshotWindow(2).Stages[ClientWait.String()].Count; got != 3 {
 		t.Errorf("two-window merge count = %d, want 3", got)
 	}
 	if got := o.StageSnapshot(ClientWait).Count; got != 3 {
 		t.Errorf("lifetime count = %d, want 3", got)
 	}
 
-	// SnapshotWindow reflects the same restriction; the lifetime Snapshot
-	// does not.
-	if got := o.SnapshotWindow(1).Stages[ClientWait.String()].Count; got != 1 {
-		t.Errorf("SnapshotWindow(1) count = %d, want 1", got)
-	}
+	// The lifetime Snapshot is not restricted.
 	if got := o.Snapshot().Stages[ClientWait.String()].Count; got != 3 {
 		t.Errorf("Snapshot() count = %d, want 3", got)
-	}
-}
-
-// NextWindow is the harness's warm-up fence: samples recorded before the
-// forced rotation stay out of the new window even though no clock time
-// passed.
-func TestNextWindowExcludesEarlierSamples(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	o := New(WithNow(func() time.Time { return now }), WithWindow(time.Hour))
-	o.Now()
-	o.ObserveStage(ClientWait, time.Millisecond) // warm-up
-	o.NextWindow()
-	o.ObserveStage(ClientWait, 2*time.Millisecond)
-	o.ObserveStage(ClientWait, 2*time.Millisecond)
-	if got := o.StageWindowSnapshot(ClientWait, 1).Count; got != 2 {
-		t.Errorf("post-rotation window count = %d, want 2", got)
-	}
-	if got := o.StageSnapshot(ClientWait).Count; got != 3 {
-		t.Errorf("lifetime count = %d, want 3", got)
 	}
 }
 

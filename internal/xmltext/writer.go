@@ -129,6 +129,11 @@ type encoder struct {
 	// into asink.buf, so recording requires the AppendEncode path).
 	record bool
 	spans  []span
+	// declBufs[d] backs the namespace declarations of the open element at
+	// scope depth d. The element's scope frame is popped before the next
+	// element at that depth reuses the buffer, so a warm encoder declares
+	// namespaces without allocating.
+	declBufs [][]bxdm.NamespaceDecl
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
@@ -158,7 +163,11 @@ func (e *encoder) LeaveDocument(*bxdm.Document) error { return nil }
 // the explicit ones plus any auto-generated bindings needed so that the
 // element name, every attribute name, and the type-hint namespaces resolve.
 func (e *encoder) effectiveDecls(c *bxdm.ElemCommon, needHints, needArray bool) []bxdm.NamespaceDecl {
-	decls := append([]bxdm.NamespaceDecl(nil), c.NamespaceDecls...)
+	depth := e.scope.Depth()
+	for len(e.declBufs) <= depth {
+		e.declBufs = append(e.declBufs, nil)
+	}
+	decls := append(e.declBufs[depth][:0], c.NamespaceDecls...)
 	// Tentatively push so resolution sees the element's own declarations.
 	e.scope.Push(decls)
 	ensure := func(space, hint string, forAttr bool) {
@@ -214,6 +223,7 @@ func (e *encoder) effectiveDecls(c *bxdm.ElemCommon, needHints, needArray bool) 
 		ensure(ENCNamespace, "enc", true)
 	}
 	e.scope.Pop()
+	e.declBufs[depth] = decls
 	return decls
 }
 
@@ -227,8 +237,8 @@ func (e *encoder) prefixTaken(decls []bxdm.NamespaceDecl, prefix string) bool {
 }
 
 // openTag writes "<qname decls attrs" without the closing '>' and pushes the
-// namespace scope. extra holds synthesized attributes (type hints).
-func (e *encoder) openTag(c *bxdm.ElemCommon, extra []bxdm.Attribute, needHints, needArray bool) error {
+// namespace scope.
+func (e *encoder) openTag(c *bxdm.ElemCommon, needHints, needArray bool) error {
 	// With type hints on, declare the hint namespaces once on the outermost
 	// element so nested leaf/array elements resolve them from scope instead
 	// of re-declaring per element.
@@ -258,11 +268,31 @@ func (e *encoder) openTag(c *bxdm.ElemCommon, extra []bxdm.Attribute, needHints,
 			return err
 		}
 	}
-	for _, a := range extra {
-		if err := e.writeAttr(a); err != nil {
-			return err
-		}
+	return nil
+}
+
+var (
+	xsiType      = bxdm.PName(XSINamespace, "xsi", "type")
+	encArrayType = bxdm.PName(ENCNamespace, "enc", "arrayType")
+)
+
+// writeHint writes the type-hint attribute ` name="xsd:T"`, or
+// ` name="xsd:T[n]"` when n >= 0, straight into the output. Type names
+// never need escaping.
+func (e *encoder) writeHint(name bxdm.QName, typ bxdm.TypeCode, n int) error {
+	e.w.WriteByte(' ')
+	if err := e.writeQName(name, true); err != nil {
+		return err
 	}
+	e.w.WriteString(`="xsd:`)
+	e.w.WriteString(typ.String())
+	if n >= 0 {
+		e.w.WriteByte('[')
+		e.buf = strconv.AppendInt(e.buf[:0], int64(n), 10)
+		e.w.Write(e.buf)
+		e.w.WriteByte(']')
+	}
+	e.w.WriteByte('"')
 	return nil
 }
 
@@ -304,7 +334,7 @@ func (e *encoder) closeTag(name bxdm.QName) error {
 }
 
 func (e *encoder) EnterElement(el *bxdm.Element) error {
-	if err := e.openTag(&el.ElemCommon, nil, false, false); err != nil {
+	if err := e.openTag(&el.ElemCommon, false, false); err != nil {
 		return err
 	}
 	e.w.WriteByte('>')
@@ -316,18 +346,14 @@ func (e *encoder) LeaveElement(el *bxdm.Element) error {
 }
 
 func (e *encoder) VisitLeaf(l *bxdm.LeafElement) error {
-	var extraArr [1]bxdm.Attribute
-	var extra []bxdm.Attribute
 	hints := e.opts.TypeHints
-	if hints {
-		extraArr[0] = bxdm.Attribute{
-			Name:  bxdm.PName(XSINamespace, "xsi", "type"),
-			Value: bxdm.StringValue("xsd:" + l.Value.Type().String()),
-		}
-		extra = extraArr[:]
-	}
-	if err := e.openTag(&l.ElemCommon, extra, hints, false); err != nil {
+	if err := e.openTag(&l.ElemCommon, hints, false); err != nil {
 		return err
+	}
+	if hints {
+		if err := e.writeHint(xsiType, l.Value.Type(), -1); err != nil {
+			return err
+		}
 	}
 	e.w.WriteByte('>')
 	start := len(e.asink.buf)
@@ -343,19 +369,14 @@ func (e *encoder) VisitLeaf(l *bxdm.LeafElement) error {
 }
 
 func (e *encoder) VisitArray(a *bxdm.ArrayElement) error {
-	var extraArr [1]bxdm.Attribute
-	var extra []bxdm.Attribute
 	hints := e.opts.TypeHints
-	if hints {
-		extraArr[0] = bxdm.Attribute{
-			Name: bxdm.PName(ENCNamespace, "enc", "arrayType"),
-			Value: bxdm.StringValue(fmt.Sprintf("xsd:%s[%d]",
-				a.Data.Type().String(), a.Data.Len())),
-		}
-		extra = extraArr[:]
-	}
-	if err := e.openTag(&a.ElemCommon, extra, hints, hints); err != nil {
+	if err := e.openTag(&a.ElemCommon, hints, hints); err != nil {
 		return err
+	}
+	if hints {
+		if err := e.writeHint(encArrayType, a.Data.Type(), a.Data.Len()); err != nil {
+			return err
+		}
 	}
 	e.w.WriteByte('>')
 	start := len(e.asink.buf)
